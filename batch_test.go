@@ -72,23 +72,27 @@ func TestProcessBatchReportsAllUplinks(t *testing.T) {
 
 // TestProcessBatchDeterministicAcrossWorkerCounts is the reproducibility
 // contract: per-uplink seeds are derived from Config.Rand, so results must
-// not depend on the worker pool size or scheduling order.
+// not depend on the worker pool size or scheduling order. It runs for each
+// onset detector with per-worker scratch: the default AIC picker and the
+// dechirp triangle-apex detector.
 func TestProcessBatchDeterministicAcrossWorkerCounts(t *testing.T) {
-	gw1, jobs1 := batchFixture(t, 1, 8)
-	gw8, jobs8 := batchFixture(t, 8, 8)
-	res1 := gw1.ProcessBatch(context.Background(), jobs1)
-	res8 := gw8.ProcessBatch(context.Background(), jobs8)
-	for i := range res1 {
-		if (res1[i].Err == nil) != (res8[i].Err == nil) {
-			t.Fatalf("uplink %d: error mismatch: %v vs %v", i, res1[i].Err, res8[i].Err)
-		}
-		if res1[i].Err != nil {
-			continue
-		}
-		a, b := res1[i].Report, res8[i].Report
-		if a.FrequencyBiasHz != b.FrequencyBiasHz || a.ArrivalTime != b.ArrivalTime || a.OnsetSample != b.OnsetSample {
-			t.Errorf("uplink %d: 1-worker %+v vs 8-worker %+v", i, a, b)
-		}
+	for _, method := range []OnsetMethod{OnsetAIC, OnsetDechirp} {
+		t.Run(string(method), func(t *testing.T) {
+			onset := func(cfg *Config) { cfg.Onset = method }
+			gw1, jobs1 := batchFixtureCfg(t, 1, 8, onset)
+			gw8, jobs8 := batchFixtureCfg(t, 8, 8, onset)
+			res1 := gw1.ProcessBatch(context.Background(), jobs1)
+			res8 := gw8.ProcessBatch(context.Background(), jobs8)
+			for i := range res1 {
+				if res1[i].Err != nil || res8[i].Err != nil {
+					t.Fatalf("uplink %d: 1-worker error %v, 8-worker error %v", i, res1[i].Err, res8[i].Err)
+				}
+				a, b := res1[i].Report, res8[i].Report
+				if a.FrequencyBiasHz != b.FrequencyBiasHz || a.ArrivalTime != b.ArrivalTime || a.OnsetSample != b.OnsetSample {
+					t.Errorf("uplink %d: 1-worker %+v vs 8-worker %+v", i, a, b)
+				}
+			}
+		})
 	}
 }
 

@@ -47,7 +47,13 @@ const DefaultCoarseDecimation = 4
 //     around each — over the once-per-capture globally dechirped trace.
 //     Sliding costs O(1) per bin per sample shift, so the ~2·(n/FitStep)
 //     fine steps that previously each paid a full n-point FFT now cost one
-//     FFT plus O(bins·n) total.
+//     FFT plus O(bins·n) total. The O(bins·n) part — the slide's initial
+//     sums, and the single-window toneMetric reads that validate a
+//     candidate (preambleConsistent) and walk the onset back — runs through
+//     dsp.GoertzelDFTMany, which overlaps three Goertzel recurrences per
+//     pass over the window with the scalar kernel's exact arithmetic.
+//     preambleConsistent stops reading slots once its majority vote is
+//     settled, so a clean preamble costs two slot reads, not three.
 //  3. Full transforms that remain (anchor FFTs, the decimated coarse FFTs)
 //     run radix-4 kernels whenever their size's log2 is even — true for
 //     every hot size here — via dsp.Plan's kernel selection.
@@ -122,6 +128,10 @@ type DechirpOnsetDetector struct {
 	z        []complex128 // globally dechirped capture
 	sliding  dsp.SlidingDFT
 	thetaBuf []float64
+
+	// toneMetric scratch: the shifted candidate frequencies and their sums.
+	toneThetas []float64
+	toneSums   []complex128
 }
 
 var _ OnsetDetector = (*DechirpOnsetDetector)(nil)
@@ -237,12 +247,26 @@ func (d *DechirpOnsetDetector) dechirpWindow(iq []complex128, start, n int) []co
 // aliasPairMaxSq scans the squared-magnitude spectrum for the strongest
 // alias pair — two bins exactly wBins apart (the split-tone signature of a
 // misaligned but filled dechirp window) — and returns the pair's summed
-// power.
+// power: the maximum over b of magSq[b] + magSq[(b−wBins) mod nb].
+//
+// Precondition: 0 < wBins < len(magSq). The wrap then splits the scan into
+// two straight runs — bins below wBins pair with the top wBins bins, the
+// rest with the bin wBins below — so no bin pays a modulo.
 func aliasPairMaxSq(magSq []float64, wBins int) float64 {
 	nb := len(magSq)
 	best := 0.0
-	for b := 0; b < nb; b++ {
-		if s := magSq[b] + magSq[(b+nb-wBins)%nb]; s > best {
+	low := magSq[:wBins]
+	wrap := magSq[nb-wBins:]
+	wrap = wrap[:len(low)]
+	for b, v := range low {
+		if s := v + wrap[b]; s > best {
+			best = s
+		}
+	}
+	high := magSq[wBins:]
+	below := magSq[:len(high)]
+	for b, v := range high {
+		if s := v + below[b]; s > best {
 			best = s
 		}
 	}
@@ -579,18 +603,28 @@ func (d *DechirpOnsetDetector) refineApex(iq []complex128, guess, n int, sampleR
 // [at, at+n) on the globally dechirped trace, using the frequency set of
 // the most recent refineApex call (the adjacent-chirp tones sit in it by
 // construction) shifted by shift radians/sample. Both detector variants
-// evaluate it with per-window Goertzel sums — a handful of O(n) passes —
-// so anchor-validation and walk-back decisions are identical across
+// evaluate it with per-window Goertzel sums — one dsp.GoertzelDFTMany
+// call, three O(n) recurrences per pass over the window — so
+// anchor-validation and walk-back decisions are identical across
 // evaluation strategies. Returns 0 when the window does not fit the
 // capture.
 func (d *DechirpOnsetDetector) toneMetric(at, n int, shift float64) float64 {
 	if at < 0 || at+n > len(d.z) || len(d.thetaBuf) == 0 {
 		return 0
 	}
-	win := d.z[at : at+n]
+	k := len(d.thetaBuf)
+	if cap(d.toneThetas) < k {
+		d.toneThetas = make([]float64, k)
+		d.toneSums = make([]complex128, k)
+	}
+	thetas := d.toneThetas[:k]
+	for i, th := range d.thetaBuf {
+		thetas[i] = th + shift
+	}
+	sums := d.toneSums[:k]
+	dsp.GoertzelDFTMany(d.z[at:at+n], thetas, sums)
 	best := 0.0
-	for _, th := range d.thetaBuf {
-		v := dsp.GoertzelDFT(win, th+shift)
+	for _, v := range sums {
 		if m := real(v)*real(v) + imag(v)*imag(v); m > best {
 			best = m
 		}
@@ -606,22 +640,34 @@ func (d *DechirpOnsetDetector) toneMetric(at, n int, shift float64) float64 {
 // read the noise floor. The comparison must be against the absolute
 // plateau scale, not the candidate's own (possibly noise-depressed) apex
 // peak: relative to the latter, a noise anchor's slots look half-strong. A
-// majority of the available next three slots must reach 0.5·bestMag;
-// candidates with no following slot in the capture pass vacuously.
+// strict majority of the available next three slots must reach
+// 0.5·bestMag; candidates with no following slot in the capture pass
+// vacuously. Slots are read in order and the vote stops as soon as its
+// outcome is settled — two agreeing slots of three decide it — so the
+// common case pays two window evaluations, not three.
 func (d *DechirpOnsetDetector) preambleConsistent(apex, n int, bestMag, sampleRate float64) bool {
-	dTheta := 2 * math.Pi * d.Params.Bandwidth / sampleRate
-	avail, pass := 0, 0
+	avail := 0
 	for j := 1; j <= 3; j++ {
-		at := apex + j*n
-		if at < 0 || at+n > len(d.z) {
+		if at := apex + j*n; at < 0 || at+n > len(d.z) {
 			break
 		}
 		avail++
-		if d.toneMetric(at, n, -float64(j)*dTheta) >= 0.5*bestMag {
+	}
+	if avail == 0 {
+		return true
+	}
+	dTheta := 2 * math.Pi * d.Params.Bandwidth / sampleRate
+	need := avail/2 + 1
+	pass, fail := 0, 0
+	// Undecided while a majority is neither reached nor out of reach.
+	for j := 1; pass < need && avail-fail >= need; j++ {
+		if d.toneMetric(apex+j*n, n, -float64(j)*dTheta) >= 0.5*bestMag {
 			pass++
+		} else {
+			fail++
 		}
 	}
-	return avail == 0 || 2*pass > avail
+	return pass >= need
 }
 
 // fitGeometry resolves the fine-grid stride and flank half-width defaults.

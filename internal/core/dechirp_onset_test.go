@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"softlora/internal/dsp"
 	"softlora/internal/lora"
 )
 
@@ -105,6 +106,117 @@ func TestDechirpOnsetErrorVsSNRMonotone(t *testing.T) {
 	}
 	if lo/testRate*1e6 > 60 {
 		t.Errorf("error at -10 dB = %.1f µs", lo/testRate*1e6)
+	}
+}
+
+// aliasPairMaxSqMod is aliasPairMaxSq's definition, one modulo per bin.
+func aliasPairMaxSqMod(magSq []float64, wBins int) float64 {
+	nb := len(magSq)
+	best := 0.0
+	for b := 0; b < nb; b++ {
+		if s := magSq[b] + magSq[(b+nb-wBins)%nb]; s > best {
+			best = s
+		}
+	}
+	return best
+}
+
+func TestAliasPairMaxSqMatchesModuloDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(165))
+	for _, nb := range []int{16, 1024} {
+		magSq := make([]float64, nb)
+		for i := range magSq {
+			magSq[i] = rng.ExpFloat64()
+		}
+		for wBins := 1; wBins < nb; wBins++ {
+			got, want := aliasPairMaxSq(magSq, wBins), aliasPairMaxSqMod(magSq, wBins)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("nb=%d wBins=%d: got %v, want %v", nb, wBins, got, want)
+			}
+		}
+	}
+}
+
+// preambleConsistentFull is the reference preamble vote: it reads every
+// available slot of the next three and only then takes the majority.
+func preambleConsistentFull(d *DechirpOnsetDetector, apex, n int, bestMag, sampleRate float64) bool {
+	dTheta := 2 * math.Pi * d.Params.Bandwidth / sampleRate
+	avail, pass := 0, 0
+	for j := 1; j <= 3; j++ {
+		at := apex + j*n
+		if at < 0 || at+n > len(d.z) {
+			break
+		}
+		avail++
+		if d.toneMetric(at, n, -float64(j)*dTheta) >= 0.5*bestMag {
+			pass++
+		}
+	}
+	return avail == 0 || 2*pass > avail
+}
+
+// TestPreambleConsistentEarlyExitMatchesFullVote sweeps candidate apexes
+// over seeded frame captures (20 dB down to −23 dB, whole and cut inside
+// the preamble) and noise-only captures, and requires the early-exit vote
+// to agree with the full three-slot reference on each. Candidates are both
+// refined apexes and the raw guesses they were refined from (misaligned
+// windows read partial tones near the threshold), so every combination of
+// 0–3 available slots and passing slots among them occurs.
+func TestPreambleConsistentEarlyExitMatchesFullVote(t *testing.T) {
+	rng := rand.New(rand.NewSource(166))
+	det := &DechirpOnsetDetector{Params: testParams()}
+	n := int(det.Params.SamplesPerChirp(testRate))
+	var captures [][]complex128
+	for _, snr := range []float64{20, -20, -20, -23} {
+		iq, onset := frameCapture(t, rng, -22e3, rng.Float64()*2*math.Pi, snr)
+		captures = append(captures, iq)
+		// Cut inside the preamble too, so candidates on true chirp
+		// boundaries run out of slots while their slots still carry chirps.
+		for _, cut := range []float64{2.5, 3.5, 4.5} {
+			captures = append(captures, iq[:int(onset+cut*float64(n))])
+		}
+	}
+	for i := 0; i < 2; i++ {
+		captures = append(captures, dsp.GaussianNoise(rng, 12*n, 1))
+	}
+	dTheta := 2 * math.Pi * det.Params.Bandwidth / testRate
+	seen := make(map[[2]int]int) // {available slots, passing slots} → candidates
+	for c, iq := range captures {
+		if _, err := det.DetectOnset(iq, testRate); err != nil {
+			t.Fatalf("capture %d: %v", c, err)
+		}
+		bestMag := 0.0
+		for _, m := range det.coarseMags {
+			bestMag = math.Max(bestMag, m)
+		}
+		for guess := 0; guess+n <= len(iq); guess += n / 3 {
+			apex, pk := det.refineApex(iq, guess, n, testRate)
+			if pk == 0 {
+				continue
+			}
+			for _, at := range []int{apex, guess} {
+				avail, pass := 0, 0
+				for j := 1; j <= 3 && at+(j+1)*n <= len(iq); j++ {
+					avail++
+					if det.toneMetric(at+j*n, n, -float64(j)*dTheta) >= 0.5*bestMag {
+						pass++
+					}
+				}
+				seen[[2]int{avail, pass}]++
+				full := preambleConsistentFull(det, at, n, bestMag, testRate)
+				if got := det.preambleConsistent(at, n, bestMag, testRate); got != full {
+					t.Errorf("capture %d candidate %d (%d of %d slots pass): early exit %v, full vote %v",
+						c, at, pass, avail, got, full)
+				}
+			}
+		}
+	}
+	for avail := 0; avail <= 3; avail++ {
+		for pass := 0; pass <= avail; pass++ {
+			if seen[[2]int{avail, pass}] == 0 {
+				t.Errorf("no candidate with %d of %d available slots passing (seen %v)", pass, avail, seen)
+			}
+		}
 	}
 }
 

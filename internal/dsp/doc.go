@@ -24,17 +24,22 @@
 // helpers (SpectrogramPlan, HilbertScratch, AICScratch, SlidingDFT, a
 // FIRFilter once applied) — and is strictly single-goroutine: one
 // plan/scratch set per worker, no sharing. The one-shot conveniences (FFT,
-// IFFT, Spectrogram, Envelope, AICOnset, Apply, GoertzelDFT) allocate
-// nothing or per call and stay safe for casual use.
+// IFFT, Spectrogram, Envelope, AICOnset, Apply, GoertzelDFT,
+// GoertzelDFTMany) allocate nothing or per call and stay safe for casual
+// use.
 //
 // # Full-spectrum, few-bin, and decimated evaluation
 //
 // The package offers three cost tiers for spectral evaluation, which is
 // what the onset detector's coarse→fine hierarchy in package core is built
 // from. A Plan transform computes every bin in O(n log n). GoertzelDFT
-// evaluates one arbitrary frequency in O(n), and SlidingDFT tracks a fixed
-// frequency set across a sliding window at O(bins) per one-sample shift —
-// the right shape when successive windows overlap almost entirely.
+// evaluates one arbitrary frequency in O(n); GoertzelDFTMany evaluates a
+// set of them over the same samples with three recurrences per pass, bit
+// for bit GoertzelDFT's results but without its one-chain latency bound.
+// SlidingDFT tracks a fixed frequency set across a sliding window at
+// O(bins) per one-sample shift (its initial sums come from
+// GoertzelDFTMany) — the right shape when successive windows overlap
+// almost entirely.
 // DechirpScratch.DechirpDecimated trades frequency span instead of
 // resolution: it boxcar-sums the dechirped product by the decimation
 // factor before a proportionally smaller transform, preserving the full

@@ -33,10 +33,12 @@ type SlidingDFT struct {
 }
 
 // Reset points the tracker at window [start, start+n) of x and evaluates
-// the initial sums for the given frequencies (O(len(thetas)·n) via
-// Goertzel). It reuses the tracker's slices when their capacity allows, so
-// steady-state Reset does not allocate for a bin count it has seen before.
-// The window must fit the trace.
+// the initial sums for the given frequencies: O(len(thetas)·n) through
+// GoertzelDFTMany, whose three-chain passes read the window once per three
+// frequencies and give the scalar GoertzelDFT's sums bit for bit. It
+// reuses the tracker's slices when their capacity allows, so steady-state
+// Reset does not allocate for a bin count it has seen before. The window
+// must fit the trace.
 func (s *SlidingDFT) Reset(x []complex128, start, n int, thetas []float64) {
 	k := len(thetas)
 	if cap(s.sums) < k {
@@ -49,8 +51,8 @@ func (s *SlidingDFT) Reset(x []complex128, start, n int, thetas []float64) {
 	s.tail = s.tail[:k]
 	s.n = n
 	s.start = start
+	GoertzelDFTMany(x[start:start+n], thetas, s.sums)
 	for i, th := range thetas {
-		s.sums[i] = GoertzelDFT(x[start:start+n], th)
 		sin, cos := math.Sincos(th)
 		s.rot[i] = complex(cos, sin)
 		sinN, cosN := math.Sincos(th * float64(n))
@@ -67,17 +69,22 @@ func (s *SlidingDFT) Bins() int { return len(s.sums) }
 // Advance slides the window forward by steps samples, updating every bin in
 // O(steps·bins). The destination window must fit the trace.
 func (s *SlidingDFT) Advance(x []complex128, steps int) {
-	n := s.n
-	a := s.start
-	for t := 0; t < steps; t++ {
-		leave := x[a]
-		enter := x[a+n]
-		for i := range s.sums {
-			s.sums[i] = (s.sums[i] - leave + enter*s.tail[i]) * s.rot[i]
+	a, n := s.start, s.n
+	// Reslice once so the compiler can prove every index in the loop:
+	// sample t leaves as leave[t] and enters as enter[t].
+	leave := x[a : a+steps]
+	enter := x[a+n : a+n+steps]
+	enter = enter[:len(leave)]
+	sums := s.sums
+	rot := s.rot[:len(sums)]
+	tail := s.tail[:len(sums)]
+	for t, l := range leave {
+		e := enter[t]
+		for i, v := range sums {
+			sums[i] = (v - l + e*tail[i]) * rot[i]
 		}
-		a++
 	}
-	s.start = a
+	s.start = a + steps
 }
 
 // Sum returns the current DFT sum of bin k.

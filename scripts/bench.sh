@@ -39,14 +39,17 @@ rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
 	rev="$rev-dirty"
 fi
-# Record the core-count context: ns/op from different GOMAXPROCS (or
-# different machines' core counts) are not comparable, so bench_check.sh
-# only diffs snapshots whose gomaxprocs match.
+# Record the host fingerprint: ns/op from different GOMAXPROCS, CPU models
+# or Go toolchains are not comparable, so bench_check.sh only diffs
+# snapshots whose gomaxprocs, cpu_model and go_version all match. Quotes and
+# backslashes are dropped so the strings stay valid JSON.
 cpus=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
+cpu_model=$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')
+go_version=$(go env GOVERSION 2>/dev/null | tr -d '"\\')
 {
-	printf '{"rev": "%s", "date": "%s", "benchtime": "%s", "gomaxprocs": %s, "cpus": %s, "results": ' \
+	printf '{"rev": "%s", "date": "%s", "benchtime": "%s", "gomaxprocs": %s, "cpus": %s, "cpu_model": "%s", "go_version": "%s", "results": ' \
 		"$rev" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "${BENCHTIME:-1s}" \
-		"${GOMAXPROCS:-$cpus}" "$cpus"
+		"${GOMAXPROCS:-$cpus}" "$cpus" "${cpu_model:-unknown}" "${go_version:-unknown}"
 	tr '\n' ' ' < "$OUT" | sed 's/ \{2,\}/ /g; s/ $//'
 	printf '}\n'
 } >> "$HIST"

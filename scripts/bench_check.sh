@@ -10,7 +10,10 @@
 #
 # CI runs this against the committed history (commit-to-commit on the
 # snapshot-producing box), NOT against a fresh runner measurement — a
-# runner-vs-dev-box diff would measure hardware, not the change.
+# runner-vs-dev-box diff would measure hardware, not the change. For the
+# same reason it only diffs snapshots with the same host fingerprint
+# (gomaxprocs, cpu_model, go_version, as scripts/bench.sh records them) and
+# skips with a message otherwise.
 #
 # Usage: scripts/bench_check.sh [history-file]
 # Env:   BENCH_REGRESSION_PCT (default 25)
@@ -42,12 +45,21 @@ function guarded(name) {
 	if (match(line, /"gomaxprocs": [0-9]+/)) {
 		gmp[row] = substr(line, RSTART + 14, RLENGTH - 14) + 0
 	}
+	if (match(line, /"cpu_model": "[^"]*"/)) {
+		cpu[row] = substr(line, RSTART + 14, RLENGTH - 15)
+	}
+	if (match(line, /"go_version": "[^"]*"/)) {
+		gover[row] = substr(line, RSTART + 15, RLENGTH - 16)
+	}
 	while (match(line, /"Benchmark[^"]*": \{"iters": [0-9]+, "ns_per_op": [0-9.eE+-]+/)) {
 		entry = substr(line, RSTART, RLENGTH)
 		line = substr(line, RSTART + RLENGTH)
 		name = entry
 		sub(/^"/, "", name)
 		sub(/".*/, "", name)
+		# go test appends -GOMAXPROCS to every name when it exceeds 1;
+		# drop it so the guarded names match at any core count.
+		if (gmp[row] > 1) sub("-" gmp[row] "$", "", name)
 		sub(/.*"ns_per_op": /, "", entry)
 		ns[row, name] = entry + 0
 		names[name] = 1
@@ -60,6 +72,17 @@ END {
 	# snapshots. Entries predating the field count as matching.
 	if (gmp[1] != "" && gmp[2] != "" && gmp[1] != gmp[2]) {
 		printf "bench_check: snapshots from different core counts (gomaxprocs %d vs %d); skipping\n", gmp[1], gmp[2]
+		exit 0
+	}
+	# Nor are ns/op from different CPU models or Go toolchains. A snapshot
+	# predating these fields reads as "" and so differs from one that has
+	# them: an unknown host is not the same host.
+	if (cpu[1] != cpu[2]) {
+		printf "bench_check: snapshots from different CPU models (\"%s\" vs \"%s\"); skipping\n", cpu[1], cpu[2]
+		exit 0
+	}
+	if (gover[1] != gover[2]) {
+		printf "bench_check: snapshots from different Go versions (\"%s\" vs \"%s\"); skipping\n", gover[1], gover[2]
 		exit 0
 	}
 	bad = 0
