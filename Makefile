@@ -13,8 +13,11 @@ fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
+# vet also checks the portable build: on arm64 no assembly kernel exists,
+# so the Go-only dispatch path must compile and vet clean on its own.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # lint runs the softlora contract analyzers (internal/lint): determinism,
 # hotpath, allocfree, complex64 widening, bufpool ownership, lock/shard
@@ -52,13 +55,15 @@ determinism:
 # retry and silent-bit-flip quarantine paths; the delivery chaos harness
 # (TestChaos*) drives the streaming dedup window through duplicated,
 # reordered, delayed and dropped schedules and asserts one committed
-# verdict per frame with schedule-independent database bytes; then a short
-# fuzz pass over the snapshot decoder. The contracts in
-# internal/netserver/doc.go are exactly what this target enforces.
+# verdict per frame with schedule-independent database bytes; then short
+# fuzz passes over the snapshot decoder and over the dsp kernel tiers'
+# bit parity (FuzzKernelParity). The contracts in internal/netserver/doc.go
+# are exactly what this target enforces.
 faults:
 	$(GO) test -count=1 ./internal/faultinject
 	$(GO) test -count=1 -run 'TestCrash|TestFault|TestChaos' ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s ./internal/netserver
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelParity$$' -fuzztime 10s ./internal/dsp
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:

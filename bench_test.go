@@ -360,7 +360,9 @@ func BenchmarkAblationUpDownEstimator(b *testing.B) {
 // --- Planned-DSP and batch-pipeline benchmarks (PR 1 perf trajectory) ---
 
 // BenchmarkFFTPlan measures the zero-allocation planned transform against
-// the allocating FFT at the sizes the gateway hot paths use.
+// the allocating FFT at the sizes the gateway hot paths use. "planned-N"
+// runs the kernel tier the host dispatches to; "go-N" and "avx2-N" run
+// one tier each, for every tier the host has.
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{256, 1024, 4096} {
@@ -384,6 +386,16 @@ func BenchmarkFFTPlan(b *testing.B) {
 				dsp.FFT(x)
 			}
 		})
+		for _, k := range dsp.Kernels() {
+			b.Run(fmt.Sprintf("%s-%d", k.Name(), n), func(b *testing.B) {
+				plan := dsp.PlanFor(n)
+				dst := make([]complex128, plan.Size())
+				b.ReportAllocs()
+				for b.Loop() {
+					k.Transform(plan, dst, x)
+				}
+			})
+		}
 	}
 }
 

@@ -50,8 +50,9 @@ const DefaultCoarseDecimation = 4
 //     FFT plus O(bins·n) total. The O(bins·n) part — the slide's initial
 //     sums, and the single-window toneMetric reads that validate a
 //     candidate (preambleConsistent) and walk the onset back — runs through
-//     dsp.GoertzelDFTMany, which overlaps three Goertzel recurrences per
-//     pass over the window with the scalar kernel's exact arithmetic.
+//     dsp.GoertzelDFTMany, which overlaps several Goertzel recurrences
+//     per pass over the window (three in Go, all nine on the AVX2 tier)
+//     with the scalar kernel's exact arithmetic.
 //     preambleConsistent stops reading slots once its majority vote is
 //     settled, so a clean preamble costs two slot reads, not three.
 //  3. Full transforms that remain (anchor FFTs, the decimated coarse FFTs)
@@ -604,7 +605,7 @@ func (d *DechirpOnsetDetector) refineApex(iq []complex128, guess, n int, sampleR
 // the most recent refineApex call (the adjacent-chirp tones sit in it by
 // construction) shifted by shift radians/sample. Both detector variants
 // evaluate it with per-window Goertzel sums — one dsp.GoertzelDFTMany
-// call, three O(n) recurrences per pass over the window — so
+// call, several O(n) recurrences per pass over the window — so
 // anchor-validation and walk-back decisions are identical across
 // evaluation strategies. Returns 0 when the window does not fit the
 // capture.

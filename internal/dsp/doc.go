@@ -17,7 +17,8 @@
 // never allocate after construction. A plan whose size's log2 is even
 // (4, 16, …, 1024, 4096, 16384 — every hot gateway size) runs a radix-4
 // butterfly kernel, ~25 % fewer multiplies than radix-2; odd-log2 sizes
-// fall back to the radix-2 kernel (Plan.Radix reports the selection).
+// fall back to the radix-2 kernel (Plan.Radix reports the selection);
+// the radix-4 stages run on the host's fastest kernel tier (below).
 // Plans are immutable, so the process-wide cache behind PlanFor may hand
 // the same *Plan to any number of goroutines. Everything mutable is the
 // CALLER's scratch — the buffers paired with a plan, and the stateful
@@ -34,7 +35,7 @@
 // what the onset detector's coarse→fine hierarchy in package core is built
 // from. A Plan transform computes every bin in O(n log n). GoertzelDFT
 // evaluates one arbitrary frequency in O(n); GoertzelDFTMany evaluates a
-// set of them over the same samples with three recurrences per pass, bit
+// set of them over the same samples with several recurrences per pass, bit
 // for bit GoertzelDFT's results but without its one-chain latency bound.
 // SlidingDFT tracks a fixed frequency set across a sliding window at
 // O(bins) per one-sample shift (its initial sums come from
@@ -73,6 +74,41 @@
 // bin, and ZoomDFT refines it on a grid finer than any affordable padded
 // FFT, with FoldFrequency wrapping interpolated readouts back into the
 // principal alias band.
+//
+// # Kernel tiers and the bit-parity contract
+//
+// Three inner loops carry most of the onset detector's arithmetic: the
+// radix-4 stages of Plan (coarse scan and anchor FFTs), the
+// multi-frequency Goertzel recurrence of GoertzelDFTMany, and the
+// SlidingDFT.Advance update. Each has a portable Go kernel and, on amd64
+// hosts whose CPU and OS support AVX2, an assembly kernel
+// (kernel_amd64.s) that evaluates two complex values per YMM register:
+// two butterflies per iteration in the radix-4 stages of quarter ≥ 4, up
+// to ten Goertzel chains per pass over x, two sliding bins per update. A
+// CPUID/XGETBV check selects the tier once, during package
+// initialization; there is no configuration knob, environment variable or
+// build tag. Kernels lists the registered tiers (the portable tier first,
+// the dispatched one last), and a Kernel's methods run one tier directly,
+// which is how the parity tests and the go/avx2 sub-benchmarks reach both.
+// Measured on a 2-vCPU Xeon (go1.24.0): a 1024-point transform 24 → 10 µs,
+// nine Goertzel frequencies over 2457 samples 45 → 13 µs, a nine-bin,
+// nine-sample slide 0.37 → 0.14 µs.
+//
+// The contract is bit parity: every tier performs the Go kernel's exact
+// floating-point operation sequence — the complex multiply as
+// re = ar·br − ai·bi, im = ai·br + ar·bi with one rounding per product
+// and per sum (VMULPD, VPERMILPD, VADDSUBPD; never a fused multiply-add),
+// the Goertzel update as v + (c·s1 − s2), the quarter turn as a sign flip
+// — so spectra, onsets, verdicts and the serialized bias database do not
+// depend on the host. Only which NaN payload propagates can differ, since
+// operand order picks it. The Go kernels stay: they are the only path on
+// hosts without AVX2 and on other architectures, and the parity tests'
+// reference (kernel_test.go compares the tiers bit for bit over every
+// radix-4 size, Goertzel and slide shapes, signed zeros, and a fuzz
+// target). The exhaustive onset reference keeps calling the scalar
+// GoertzelDFT. One caveat: a build with GOAMD64=v3 lets the compiler fuse
+// multiply-adds in the Go kernels themselves, which changes their rounding,
+// so such a build falls outside this contract.
 //
 // # Synthesis-path cost tiers and the oscillator drift contract
 //

@@ -47,20 +47,38 @@ func goertzelFinish(s1, s2 complex128, omega float64, n int) complex128 {
 //
 // A single Goertzel recurrence is a latency-bound dependency chain — each
 // sample's state needs the previous one — so evaluating k frequencies one
-// after another leaves the FPU idle most of the time. This kernel runs
-// three chains per pass over x, each with exactly GoertzelDFT's
+// after another leaves the FPU idle most of the time. The portable kernel
+// runs three chains per pass over x, each with exactly GoertzelDFT's
 // arithmetic in GoertzelDFT's order, so the three overlap in the pipeline
 // and x is read once per group; a remainder of one or two frequencies goes
-// through GoertzelDFT itself.
+// through GoertzelDFT itself. The AVX2 tier carries up to ten chains per
+// pass, two per vector register, with the same arithmetic.
 //
 //softlora:allocfree
 func GoertzelDFTMany(x []complex128, thetas []float64, out []complex128) {
+	goertzelMany(x, thetas, out, activeTier)
+}
+
+// goertzelMany is GoertzelDFTMany on the given kernel tier.
+//
+//softlora:allocfree
+func goertzelMany(x []complex128, thetas []float64, out []complex128, tier kernelTier) {
 	out = out[:len(thetas)]
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		clear(out)
 		return
 	}
+	if tier == tierAVX2 {
+		goertzelManyAVX2(x, thetas, out)
+		return
+	}
+	goertzelManyGo(x, thetas, out)
+}
+
+// goertzelManyGo is the portable kernel of GoertzelDFTMany for a non-empty
+// x.
+func goertzelManyGo(x []complex128, thetas []float64, out []complex128) {
+	n := len(x)
 	k := 0
 	for ; k+3 <= len(thetas); k += 3 {
 		w0, w1, w2 := thetas[k], thetas[k+1], thetas[k+2]

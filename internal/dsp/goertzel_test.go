@@ -12,32 +12,34 @@ func sameBits(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
-// TestGoertzelDFTManyBitIdentical pins the multi-frequency kernel to the
-// scalar recurrence exactly: every theta count 0–10 (so each remainder of
-// the three-chain grouping is hit) at lengths 0, 1, 2 and a chirp-long
-// 2457-sample window.
+// TestGoertzelDFTManyBitIdentical pins the multi-frequency kernel of every
+// registered tier to the scalar recurrence exactly: every theta count 0–10
+// (so each remainder of the Go tier's three-chain grouping is hit) at
+// lengths 0, 1, 2 and a chirp-long 2457-sample window.
 func TestGoertzelDFTManyBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	for _, n := range []int{0, 1, 2, 2457} {
-		x := randComplex(rng, n)
-		for k := 0; k <= 10; k++ {
-			thetas := make([]float64, k)
-			for i := range thetas {
-				thetas[i] = (rng.Float64()*2 - 1) * math.Pi
-			}
-			// Poison the output so a skipped slot cannot pass by accident.
-			out := make([]complex128, k+1)
-			for i := range out {
-				out[i] = complex(math.NaN(), math.NaN())
-			}
-			GoertzelDFTMany(x, thetas, out)
-			for i, th := range thetas {
-				if want := GoertzelDFT(x, th); !sameBits(out[i], want) {
-					t.Errorf("n=%d k=%d theta[%d]: got %v, want %v", n, k, i, out[i], want)
+	for _, tier := range Kernels() {
+		for _, n := range []int{0, 1, 2, 2457} {
+			x := randComplex(rng, n)
+			for k := 0; k <= 10; k++ {
+				thetas := make([]float64, k)
+				for i := range thetas {
+					thetas[i] = (rng.Float64()*2 - 1) * math.Pi
 				}
-			}
-			if v := out[k]; !math.IsNaN(real(v)) || !math.IsNaN(imag(v)) {
-				t.Errorf("n=%d k=%d: wrote past len(thetas): %v", n, k, v)
+				// Poison the output so a skipped slot cannot pass by accident.
+				out := make([]complex128, k+1)
+				for i := range out {
+					out[i] = complex(math.NaN(), math.NaN())
+				}
+				tier.GoertzelDFTMany(x, thetas, out)
+				for i, th := range thetas {
+					if want := GoertzelDFT(x, th); !sameBits(out[i], want) {
+						t.Errorf("%s n=%d k=%d theta[%d]: got %v, want %v", tier.Name(), n, k, i, out[i], want)
+					}
+				}
+				if v := out[k]; !math.IsNaN(real(v)) || !math.IsNaN(imag(v)) {
+					t.Errorf("%s n=%d k=%d: wrote past len(thetas): %v", tier.Name(), n, k, v)
+				}
 			}
 		}
 	}
@@ -56,7 +58,9 @@ func TestGoertzelDFTManyZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkGoertzel9 compares the onset detector's nine-tone evaluation of
-// one chirp-long window: nine scalar recurrences vs one GoertzelDFTMany.
+// one chirp-long window: nine scalar recurrences vs one GoertzelDFTMany on
+// the dispatched tier ("many") and on each tier the host has ("go",
+// "avx2").
 func BenchmarkGoertzel9(b *testing.B) {
 	rng := rand.New(rand.NewSource(27))
 	x := randComplex(rng, 2457)
@@ -77,4 +81,11 @@ func BenchmarkGoertzel9(b *testing.B) {
 			GoertzelDFTMany(x, thetas, out)
 		}
 	})
+	for _, k := range Kernels() {
+		b.Run(k.Name(), func(b *testing.B) {
+			for b.Loop() {
+				k.GoertzelDFTMany(x, thetas, out)
+			}
+		})
+	}
 }

@@ -17,7 +17,10 @@ import (
 // kernel — one complex multiply per four outputs fewer than radix-2, ~25 %
 // fewer multiplies overall — which covers every hot gateway size (the
 // chirp-window 4096, the 4×-padded 16384, the decimated-scan 1024 and the
-// spectrogram 256). Odd-log2 sizes fall back to the radix-2 kernel.
+// spectrogram 256). Odd-log2 sizes fall back to the radix-2 kernel. On
+// hosts with the AVX2 kernel tier (see Kernel) the radix-4 stages after the
+// first run two butterflies per instruction, bit-identical to the Go
+// kernel; the permutation and the size-4 stage always run in Go.
 //
 // A Plan is immutable after construction and safe for concurrent use by
 // multiple goroutines — only the caller-supplied buffers are mutated. The
@@ -29,6 +32,15 @@ type Plan struct {
 	perm   []int32      // bit-reversal (radix-2) or base-4 digit-reversal targets
 	fwd    []complex128 // exp(-2πik/n); k < n/2 (radix-2) or k < 3n/4 (radix-4)
 	inv    []complex128 // exp(+2πik/n), same length as fwd
+
+	// stageFwd and stageInv are fwd and inv regrouped for the AVX2 radix-4
+	// kernel, built only when that tier is registered: the stages of
+	// quarter q = 4, 16, …, n/4 in order, each as q/2 runs of six entries
+	// W^k, W^(k+1), W^2k, W^2(k+1), W^3k, W^3(k+1) for k = 0, 2, …, q−2,
+	// where W^m is the stage's twiddle m·(n/4q). Every entry is copied from
+	// fwd/inv, so both kernels multiply by the same values.
+	stageFwd []complex128
+	stageInv []complex128
 }
 
 // NewPlan builds a plan for n-point transforms. n must be a positive power
@@ -70,7 +82,25 @@ func NewPlan(n int) *Plan {
 		p.fwd[k] = complex(c, s)
 		p.inv[k] = complex(c, -s)
 	}
+	if p.radix4 && n >= 16 && activeTier == tierAVX2 {
+		p.stageFwd = radix4StageTable(p.fwd, n)
+		p.stageInv = radix4StageTable(p.inv, n)
+	}
 	return p
+}
+
+// radix4StageTable regroups a radix-4 plan's twiddle table tw into the
+// per-stage layout of Plan.stageFwd.
+func radix4StageTable(tw []complex128, n int) []complex128 {
+	tab := make([]complex128, 0, n)
+	for q := 4; 4*q <= n; q <<= 2 {
+		stride := n / (4 * q)
+		for k := 0; k < q; k += 2 {
+			t0, t1 := k*stride, (k+1)*stride
+			tab = append(tab, tw[t0], tw[t1], tw[2*t0], tw[2*t1], tw[3*t0], tw[3*t1])
+		}
+	}
+	return tab
 }
 
 // Size returns the transform length the plan was built for.
@@ -177,6 +207,14 @@ func (p *Plan) normalize(buf []complex128) {
 //
 //softlora:hotpath
 func (p *Plan) run(x []complex128, tw []complex128, inverse bool) {
+	p.runTier(x, tw, inverse, activeTier)
+}
+
+// runTier is run on the given kernel tier. The tier only changes how the
+// radix-4 stages of quarter ≥ 4 execute, never their arithmetic.
+//
+//softlora:hotpath
+func (p *Plan) runTier(x []complex128, tw []complex128, inverse bool, tier kernelTier) {
 	n := p.n
 	if n <= 1 {
 		return
@@ -187,7 +225,16 @@ func (p *Plan) run(x []complex128, tw []complex128, inverse bool) {
 		}
 	}
 	if p.radix4 {
-		p.runRadix4(x, tw, inverse)
+		if tier == tierAVX2 && n >= 16 {
+			p.runRadix4(x, tw, inverse, 4) // the size-4 stage
+			stages := p.stageFwd
+			if inverse {
+				stages = p.stageInv
+			}
+			radix4AVX2(x, stages, inverse)
+			return
+		}
+		p.runRadix4(x, tw, inverse, n)
 		return
 	}
 	for size := 2; size <= n; size <<= 1 {
@@ -217,9 +264,10 @@ func (p *Plan) run(x []complex128, tw []complex128, inverse bool) {
 //
 // where the ∓j factor flips sign between the forward and inverse transforms
 // (it is the quarter-turn twiddle W^{n/4} = −j, conjugated for the inverse).
-func (p *Plan) runRadix4(x []complex128, tw []complex128, inverse bool) {
+// It runs the stages of size 4 through maxSize.
+func (p *Plan) runRadix4(x []complex128, tw []complex128, inverse bool, maxSize int) {
 	n := p.n
-	for size := 4; size <= n; size <<= 2 {
+	for size := 4; size <= maxSize; size <<= 2 {
 		quarter := size >> 2
 		stride := n / size
 		for start := 0; start < n; start += size {

@@ -34,8 +34,8 @@ type SlidingDFT struct {
 
 // Reset points the tracker at window [start, start+n) of x and evaluates
 // the initial sums for the given frequencies: O(len(thetas)·n) through
-// GoertzelDFTMany, whose three-chain passes read the window once per three
-// frequencies and give the scalar GoertzelDFT's sums bit for bit. It
+// GoertzelDFTMany, whose multi-chain passes read the window once per group
+// of frequencies and give the scalar GoertzelDFT's sums bit for bit. It
 // reuses the tracker's slices when their capacity allows, so steady-state
 // Reset does not allocate for a bin count it has seen before. The window
 // must fit the trace.
@@ -67,8 +67,15 @@ func (s *SlidingDFT) Start() int { return s.start }
 func (s *SlidingDFT) Bins() int { return len(s.sums) }
 
 // Advance slides the window forward by steps samples, updating every bin in
-// O(steps·bins). The destination window must fit the trace.
+// O(steps·bins). The destination window must fit the trace. On hosts with
+// the AVX2 kernel tier the bins are updated two per vector register, with
+// the same arithmetic and therefore the same sums.
 func (s *SlidingDFT) Advance(x []complex128, steps int) {
+	s.advance(x, steps, activeTier)
+}
+
+// advance is Advance on the given kernel tier.
+func (s *SlidingDFT) advance(x []complex128, steps int, tier kernelTier) {
 	a, n := s.start, s.n
 	// Reslice once so the compiler can prove every index in the loop:
 	// sample t leaves as leave[t] and enters as enter[t].
@@ -78,13 +85,17 @@ func (s *SlidingDFT) Advance(x []complex128, steps int) {
 	sums := s.sums
 	rot := s.rot[:len(sums)]
 	tail := s.tail[:len(sums)]
+	s.start = a + steps
+	if tier == tierAVX2 {
+		slideAVX2(sums, rot, tail, leave, enter)
+		return
+	}
 	for t, l := range leave {
 		e := enter[t]
 		for i, v := range sums {
 			sums[i] = (v - l + e*tail[i]) * rot[i]
 		}
 	}
-	s.start = a + steps
 }
 
 // Sum returns the current DFT sum of bin k.

@@ -20,6 +20,11 @@
 //   - implicit interface conversions (boxing) in call arguments,
 //     assignments, returns and var initializers
 //   - go statements (a goroutine allocates its stack)
+//   - calls passing a pointer or a slice to a function without a Go
+//     body (an assembly routine) whose declaration lacks //go:noescape:
+//     escape analysis cannot see into assembly, so it assumes every such
+//     argument escapes, and a local array or struct whose address or
+//     slice is passed moves to the heap on every call
 //
 // Deliberately not flagged: map index writes (they can grow the table,
 // but the repo's hot maps are size-stable after warmup and a map write
@@ -93,7 +98,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fn.Body == nil || !directive.FuncHas(fn, "allocfree") {
 				continue
 			}
-			s := newScanner(pass.Fset, pass.TypesInfo, ix, fn)
+			s := newScanner(pass.Fset, pass.TypesInfo, ix, fn, pass.CallGraph)
 			s.emit = func(pos token.Pos, detail string) bool {
 				pass.Reportf(pos, "allocation in an allocfree function: %s", detail)
 				return true
@@ -118,7 +123,7 @@ func propagate(pass *analysis.Pass, ix *directive.Index) {
 				return nil
 			}
 			var off *callgraph.Offense
-			s := newScanner(n.Fset, n.Info, ix, n.Decl)
+			s := newScanner(n.Fset, n.Info, ix, n.Decl, pass.CallGraph)
 			s.emit = func(pos token.Pos, detail string) bool {
 				off = &callgraph.Offense{Detail: detail}
 				return false
@@ -219,12 +224,13 @@ type scanner struct {
 	fn       *ast.FuncDecl
 	sig      *types.Signature
 	presized map[types.Object]bool
+	graph    *callgraph.Graph // nil: callee declarations unknown
 	emit     func(pos token.Pos, detail string) bool
 	stopped  bool
 }
 
-func newScanner(fset *token.FileSet, info *types.Info, ix *directive.Index, fn *ast.FuncDecl) *scanner {
-	s := &scanner{fset: fset, info: info, ix: ix, fn: fn, presized: presizedSlices(info, fn)}
+func newScanner(fset *token.FileSet, info *types.Info, ix *directive.Index, fn *ast.FuncDecl, graph *callgraph.Graph) *scanner {
+	s := &scanner{fset: fset, info: info, ix: ix, fn: fn, presized: presizedSlices(info, fn), graph: graph}
 	if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
 		s.sig, _ = obj.Type().(*types.Signature)
 	}
@@ -333,7 +339,74 @@ func (s *scanner) call(call *ast.CallExpr) {
 			return
 		}
 	}
+	s.asmEscape(call)
 	s.callBoxing(call)
+}
+
+// asmEscape flags a call passing a pointer or a slice to a body-less
+// (assembly) function declared without //go:noescape.
+func (s *scanner) asmEscape(call *ast.CallExpr) {
+	var id *ast.Ident
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return
+	}
+	fn, ok := s.info.Uses[id].(*types.Func)
+	if !ok || s.graph == nil {
+		return
+	}
+	n := s.graph.Node(fn)
+	if n == nil || n.Decl == nil || n.Decl.Body != nil || hasNoescape(n.Decl) {
+		return
+	}
+	for _, arg := range call.Args {
+		var kind string
+		switch t := s.info.TypeOf(arg); {
+		case t == nil:
+			continue
+		case isSlice(t):
+			kind = "a slice"
+		case isPointer(t):
+			kind = "a pointer"
+		default:
+			continue
+		}
+		s.report(arg.Pos(), "passes "+kind+" to body-less function "+fn.Name()+
+			" declared without //go:noescape (the argument escapes to the heap)")
+		return
+	}
+}
+
+// hasNoescape reports whether a declaration carries //go:noescape.
+func hasNoescape(decl *ast.FuncDecl) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if strings.TrimSpace(c.Text) == "//go:noescape" {
+			return true
+		}
+	}
+	return false
+}
+
+func isSlice(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Slice)
+	return ok
+}
+
+func isPointer(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // conversion flags string ↔ []byte / []rune conversions.

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAllocFree(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), allocfree.Analyzer, "a", "transroot", "transleaf")
+	analysistest.Run(t, analysistest.TestData(), allocfree.Analyzer, "a", "transroot", "transleaf", "asmstub")
 }

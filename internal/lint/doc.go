@@ -28,10 +28,12 @@
 //     their call tree: no make/new, no composite literals on the heap, no
 //     closures, no un-presized append, no string/[]byte conversions or
 //     non-constant concatenation, no interface boxing, no goroutine
-//     starts, and no calls into stdlib packages modeled as allocating
-//     (fmt, errors, sort, strings, ...). Map writes and panic arguments
-//     are exempt (cold paths by definition). Escape hatch:
-//     //softlora:allocfree-ok <why>.
+//     starts, no calls into stdlib packages modeled as allocating
+//     (fmt, errors, sort, strings, ...), and no pointer or slice passed
+//     to a body-less (assembly) function declared without //go:noescape
+//     (escape analysis then moves the argument's backing store to the
+//     heap). Map writes and panic arguments are exempt (cold paths by
+//     definition). Escape hatch: //softlora:allocfree-ok <why>.
 //
 //   - complexlane — packages carrying //softlora:float32-lanes
 //     (internal/dsp) may not use builtin complex64 arithmetic: gc widens

@@ -35,8 +35,10 @@ END { print "\n}" }
 
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 # Catch unstaged, staged AND untracked changes: a snapshot from a dirty tree
-# must not be recorded against the clean commit it happens to sit on.
-if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+# must not be recorded against the clean commit it happens to sit on. The
+# two files this script writes are left out, or every snapshot would read
+# dirty.
+if [ -n "$(git status --porcelain -- . ':!BENCH_softlora.json' ':!BENCH_history.jsonl' 2>/dev/null)" ]; then
 	rev="$rev-dirty"
 fi
 # Record the host fingerprint: ns/op from different GOMAXPROCS, CPU models
