@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race determinism faults bench lint
+.PHONY: ci fmt vet build test race determinism faults perfbench bench lint
 
 # ci is the gate every PR must pass: formatting, static checks (go vet +
 # the repo's own contract analyzers), build, the full test suite, the race
 # detector over the concurrent paths (batch pipeline + network server +
-# shared dsp scratch), the batch-determinism contract, and the
-# crash-consistency fault-injection suite.
-ci: fmt vet lint build test race determinism faults
+# shared dsp scratch), the batch-determinism contract, the
+# crash-consistency fault-injection suite, and the end-to-end benchmark's
+# own smoke tests.
+ci: fmt vet lint build test race determinism faults perfbench
 
 fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -64,6 +65,13 @@ faults:
 	$(GO) test -count=1 -run 'TestCrash|TestFault|TestChaos' ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadShard$$' -fuzztime 10s ./internal/netserver
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelParity$$' -fuzztime 10s ./internal/dsp
+
+# perfbench runs the end-to-end benchmark's own tests (perfbench is a
+# module of its own, so ./... at the root does not reach it): a short run
+# of each workload, the traced run's stage replay checked bit for bit
+# against Gateway.Observe, and the verdict digest compared across set-ups.
+perfbench:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # bench refreshes BENCH_softlora.json (the cross-PR perf trajectory).
 bench:

@@ -362,7 +362,9 @@ func BenchmarkAblationUpDownEstimator(b *testing.B) {
 // BenchmarkFFTPlan measures the zero-allocation planned transform against
 // the allocating FFT at the sizes the gateway hot paths use. "planned-N"
 // runs the kernel tier the host dispatches to; "go-N" and "avx2-N" run
-// one tier each, for every tier the host has.
+// one tier each, for every tier the host has. "padded-614-of-1024/<tier>"
+// is the onset coarse scan's transform: a 614-sample decimated window
+// zero-padded into the 1024-point plan, out of place.
 func BenchmarkFFTPlan(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{256, 1024, 4096} {
@@ -397,6 +399,22 @@ func BenchmarkFFTPlan(b *testing.B) {
 			})
 		}
 	}
+	b.Run("padded-614-of-1024", func(b *testing.B) {
+		src := make([]complex128, 614)
+		for i := range src {
+			src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		plan := dsp.PlanFor(1024)
+		dst := make([]complex128, plan.Size())
+		for _, k := range dsp.Kernels() {
+			b.Run(k.Name(), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					k.Transform(plan, dst, src)
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkDechirpOnset exercises the despreading onset detector's sliding

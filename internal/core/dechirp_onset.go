@@ -39,7 +39,9 @@ const DefaultCoarseDecimation = 4
 //     in the coherent sum, so the full 2^SF despreading gain is preserved;
 //     its sinc droop is divided out per bin, and the alias-pair metric is
 //     evaluated on the decimated grid — an accuracy-preserving replacement
-//     costing ~1/4 of the full-rate windows.
+//     costing ~1/4 of the full-rate windows. Each window is decimated into
+//     an n/D-sample scratch (eight outputs' sums side by side on the AVX2
+//     tier), transformed out of place and scored before the next one.
 //  2. Apex refinement: one anchor FFT at the refinement center identifies
 //     the dechirped tone; every subsequent fine step is evaluated by a
 //     sliding DFT (dsp.SlidingDFT) tracking a handful of candidate bins —
@@ -57,7 +59,10 @@ const DefaultCoarseDecimation = 4
 //     settled, so a clean preamble costs two slot reads, not three.
 //  3. Full transforms that remain (anchor FFTs, the decimated coarse FFTs)
 //     run radix-4 kernels whenever their size's log2 is even — true for
-//     every hot size here — via dsp.Plan's kernel selection.
+//     every hot size here — via dsp.Plan's kernel selection. Both are fed
+//     out of place from the unpadded dechirp, so the plan's first radix-4
+//     pass reads it as it loads: no zero-filled copy and no separate
+//     digit-reversal pass.
 //
 // A detector instance holds reusable scratch (dechirp templates, FFT plans
 // and buffers, the global dechirped trace, sliding-DFT state) and is
@@ -105,16 +110,15 @@ type DechirpOnsetDetector struct {
 	// every sliding window of every capture, keeping the window scan
 	// allocation-free in steady state.
 	scratch    dechirpScratch
-	magSq      []float64    // per-bin squared magnitudes (fillMag)
-	magSqDec   []float64    // per-bin squared magnitudes, decimated scan
-	droopInv   []float64    // boxcar droop compensation per decimated bin
-	droopDec   int          // decimation the droop table was built for
-	droopLen   int          // decimated FFT size of the droop table
-	coarseMags []float64    // coarse-scan metric values
-	coarseAts  []int        // coarse-scan window starts
-	coarseSlab []complex128 // packed decimated windows for TransformMany
-	fitXs      []float64    // apex-fit abscissae
-	fitYs      []float64    // apex-fit metric values
+	magSq      []float64 // per-bin squared magnitudes (fillMag)
+	magSqDec   []float64 // per-bin squared magnitudes, decimated scan
+	droopInv   []float64 // boxcar droop compensation per decimated bin
+	droopDec   int       // decimation the droop table was built for
+	droopLen   int       // decimated FFT size of the droop table
+	coarseMags []float64 // coarse-scan metric values
+	coarseAts  []int     // coarse-scan window starts
+	fitXs      []float64 // apex-fit abscissae
+	fitYs      []float64 // apex-fit metric values
 
 	// Global-dechirp scratch for the sliding refinement: the capture
 	// multiplied by the conjugate infinite chirp anchored at sample 0. In
@@ -313,13 +317,6 @@ func (d *DechirpOnsetDetector) fillMagDec(iq []complex128, start, n int, sampleR
 		return 0
 	}
 	spec := d.scratch.DechirpDecimated(iq[start:start+n], dec)
-	return d.fillMagDecSpec(spec, sampleRate, dec)
-}
-
-// fillMagDecSpec is the spectrum half of fillMagDec, split out so the
-// batched coarse scan (one TransformMany over every window's decimated
-// dechirp) can score pre-transformed blocks with the identical metric.
-func (d *DechirpOnsetDetector) fillMagDecSpec(spec []complex128, sampleRate float64, dec int) float64 {
 	nb := len(spec)
 	wBins := int(math.Round(d.Params.Bandwidth / sampleRate * float64(dec) * float64(nb)))
 	if wBins <= 0 || wBins >= nb {
@@ -360,48 +357,24 @@ func (d *DechirpOnsetDetector) DetectOnset(iq []complex128, sampleRate float64) 
 	d.ensureGlobalDechirp(iq, sampleRate)
 
 	// 1. Coarse scan (quarter-chirp stride): record every window's fill
-	// metric (alignment-insensitive). The decimated path batches every
-	// window's dechirped-and-decimated block into one slab and runs a
-	// single TransformMany through the shared plan — per-block results are
-	// bit-identical to the per-window DechirpDecimated transforms, the
-	// plan's permutation and twiddle tables just stay hot across windows.
+	// metric (alignment-insensitive). The decimated path dechirps and
+	// boxcar-sums each window into an n/dec-sample scratch and transforms
+	// that out of place — the plan's first radix-4 pass reads it as it
+	// loads, so no zero-padded copy is ever built.
 	mags := d.coarseMags[:0]
 	ats := d.coarseAts[:0]
 	bestMag := 0.0
 	for at := 0; at+n <= len(iq); at += n / 4 {
+		var mg float64
+		if dec > 1 {
+			mg = d.fillMagDec(iq, at, n, sampleRate, dec)
+		} else {
+			mg = d.fillMag(iq, at, n, sampleRate)
+		}
 		ats = append(ats, at)
-	}
-	if dec > 1 {
-		m := n / dec
-		plan := dsp.PlanFor(m)
-		nfft := plan.Size()
-		need := len(ats) * nfft
-		if cap(d.coarseSlab) < need {
-			d.coarseSlab = make([]complex128, need)
-		}
-		slab := d.coarseSlab[:need]
-		for w, at := range ats {
-			blk := slab[w*nfft : (w+1)*nfft]
-			d.scratch.DechirpDecimateInto(blk[:m], iq[at:at+n], dec)
-			for i := m; i < nfft; i++ {
-				blk[i] = 0
-			}
-		}
-		plan.TransformMany(slab)
-		for w := range ats {
-			mg := d.fillMagDecSpec(slab[w*nfft:(w+1)*nfft], sampleRate, dec)
-			mags = append(mags, mg)
-			if mg > bestMag {
-				bestMag = mg
-			}
-		}
-	} else {
-		for _, at := range ats {
-			mg := d.fillMag(iq, at, n, sampleRate)
-			mags = append(mags, mg)
-			if mg > bestMag {
-				bestMag = mg
-			}
+		mags = append(mags, mg)
+		if mg > bestMag {
+			bestMag = mg
 		}
 	}
 	d.coarseMags, d.coarseAts = mags, ats

@@ -48,11 +48,15 @@
 // sinc droop per bin with BoxcarDroopSq; DechirpDecimateInto exposes the
 // decimated time series when a caller needs it past the transform).
 //
-// Two batching tiers sit on top. Plan.TransformMany runs K packed
-// same-size transforms through one plan back to back — bit-identical to K
-// TransformInPlace calls, but the permutation and twiddle tables stay hot
-// in cache across blocks (the coarse-scan windows of a capture, a
-// spectrogram's frames). And the decision-stage float32 lanes trade
+// Callers that transform a short or freshly computed series (a dechirped
+// window, its decimation, a windowed spectrogram frame) write it into a
+// series-length scratch and call Plan.Transform with a separate dst: on
+// a radix-4 plan the first butterfly pass then reads the series as it
+// loads, so no zero-padded copy is built and no permutation pass runs.
+// The in-place entries suit data that already sits in a plan-sized
+// buffer.
+//
+// The decision-stage float32 lanes trade
 // precision for bandwidth where the consumer's error budget allows it:
 // AICScratch.Onset32/Onset32Strided and the FIRFilter ...32 apply paths
 // run the onset detector's coarse/mid argmin stages on float32 data with a
@@ -77,35 +81,46 @@
 //
 // # Kernel tiers and the bit-parity contract
 //
-// Three inner loops carry most of the onset detector's arithmetic: the
-// radix-4 stages of Plan (coarse scan and anchor FFTs), the
-// multi-frequency Goertzel recurrence of GoertzelDFTMany, and the
-// SlidingDFT.Advance update. Each has a portable Go kernel and, on amd64
-// hosts whose CPU and OS support AVX2, an assembly kernel
-// (kernel_amd64.s) that evaluates two complex values per YMM register:
-// two butterflies per iteration in the radix-4 stages of quarter ≥ 4, up
-// to ten Goertzel chains per pass over x, two sliding bins per update. A
+// Five inner loops carry most of the onset detector's arithmetic: the
+// radix-4 stages of Plan (coarse scan and anchor FFTs), the out-of-place
+// first pass that loads a radix-4 transform, the dechirp-and-boxcar sum of
+// DechirpDecimateInto, the multi-frequency Goertzel recurrence of
+// GoertzelDFTMany, and the SlidingDFT.Advance update. Each has a portable
+// Go kernel and, on amd64 hosts whose CPU and OS support AVX2, an
+// assembly kernel (kernel_amd64.s) that evaluates two complex values per
+// YMM register: two butterflies per iteration in the radix-4 stages of
+// quarter ≥ 4 and in the first pass (whose two quadruples' outputs are
+// transposed into their digit-reversed places), eight decimated outputs'
+// sums side by side, up to ten Goertzel chains per pass over x, two
+// sliding bins per update. The in-place entries still permute with the Go
+// swap loop and run the size-4 stage in Go. A
 // CPUID/XGETBV check selects the tier once, during package
 // initialization; there is no configuration knob, environment variable or
 // build tag. Kernels lists the registered tiers (the portable tier first,
 // the dispatched one last), and a Kernel's methods run one tier directly,
 // which is how the parity tests and the go/avx2 sub-benchmarks reach both.
-// Measured on a 2-vCPU Xeon (go1.24.0): a 1024-point transform 24 → 10 µs,
-// nine Goertzel frequencies over 2457 samples 45 → 13 µs, a nine-bin,
-// nine-sample slide 0.37 → 0.14 µs.
+// Measured on a 2-vCPU Xeon (go1.24.0), Go tier → AVX2 tier: a 1024-point
+// out-of-place transform 16 → 3.7 µs, the coarse scan's 614-sample window
+// into a 1024-point plan 17 → 4.2 µs, its 2457-sample decimation by 4
+// 8.1 → 2.3 µs, nine Goertzel frequencies over 2457 samples 45 → 13 µs,
+// a nine-bin, nine-sample slide 0.37 → 0.14 µs.
 //
 // The contract is bit parity: every tier performs the Go kernel's exact
 // floating-point operation sequence — the complex multiply as
 // re = ar·br − ai·bi, im = ai·br + ar·bi with one rounding per product
 // and per sum (VMULPD, VPERMILPD, VADDSUBPD; never a fused multiply-add),
-// the Goertzel update as v + (c·s1 − s2), the quarter turn as a sign flip
-// — so spectra, onsets, verdicts and the serialized bias database do not
-// depend on the host. Only which NaN payload propagates can differ, since
-// operand order picks it. The Go kernels stay: they are the only path on
-// hosts without AVX2 and on other architectures, and the parity tests'
-// reference (kernel_test.go compares the tiers bit for bit over every
-// radix-4 size, Goertzel and slide shapes, signed zeros, and a fuzz
-// target). The exhaustive onset reference keeps calling the scalar
+// the Goertzel update as v + (c·s1 − s2), the quarter turn as a sign flip,
+// the boxcar sum as ((0 + p0) + p1) + … in sample order, the first pass's
+// zero padding multiplied by the twiddle like any other input — so
+// spectra, onsets, verdicts and the serialized bias database do not
+// depend on the host, nor on whether a transform ran in or out of place.
+// Only which NaN payload propagates can differ, since operand order picks
+// it. The Go kernels stay: they are the only path on hosts without AVX2
+// and on other architectures, and the parity tests' reference
+// (kernel_test.go compares the tiers bit for bit over every radix-4 size,
+// the out-of-place entry against copy+in-place for source lengths around
+// every quarter boundary, decimation factors 1–8, Goertzel and slide
+// shapes, signed zeros, ±Inf and NaN, and a fuzz target). The exhaustive onset reference keeps calling the scalar
 // GoertzelDFT. One caveat: a build with GOAMD64=v3 lets the compiler fuse
 // multiply-adds in the Go kernels themselves, which changes their rounding,
 // so such a build falls outside this contract.

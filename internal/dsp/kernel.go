@@ -1,8 +1,10 @@
 package dsp
 
 // kernelTier identifies one implementation of the package's vectorizable
-// inner loops: the radix-4 FFT stages behind Plan, the multi-frequency
-// Goertzel recurrence behind GoertzelDFTMany and the SlidingDFT update.
+// inner loops: the radix-4 FFT stages and the out-of-place first pass
+// behind Plan, the boxcar sum behind DechirpScratch.DechirpDecimateInto,
+// the multi-frequency Goertzel recurrence behind GoertzelDFTMany and the
+// SlidingDFT update.
 type kernelTier uint8
 
 const (
@@ -43,8 +45,7 @@ func (k Kernel) Name() string { return k.name }
 
 // Transform is p.Transform computed with this tier.
 func (k Kernel) Transform(p *Plan, dst, src []complex128) {
-	p.load(dst, src)
-	p.runTier(dst, p.fwd, false, k.tier)
+	p.transform(dst, src, false, k.tier)
 }
 
 // GoertzelDFTMany is the package-level GoertzelDFTMany computed with this

@@ -42,6 +42,23 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func radix4AVX2(x []complex128, tw []complex128, inverse bool)
 
+// radix4LoadAVX2 is loadRadix4's kernel for the even-length run of r
+// whose perm entries are perm (r starts even): for each pair r, r+1 it
+// reads rows k < live of src at src[r'+k·q] (r' counting from src[0]),
+// zeros for the rows past live, multiplies rows 1–3 by tw[0], runs the
+// size-4 butterfly on both quadruples and stores the outputs of r at
+// dst[perm[r]+k] and those of r+1 at dst[perm[r]+q+k].
+//
+//go:noescape
+func radix4LoadAVX2(dst []complex128, perm []int32, src []complex128, q, live int, tw []complex128, inverse bool)
+
+// decimateAVX2 is decimate's kernel for len(dst) a multiple of eight,
+// with seg and conj at least len(dst)·d long: eight outputs' sums per
+// pass, two per YMM register, each accumulated in the Go kernel's order.
+//
+//go:noescape
+func decimateAVX2(dst, seg, conj []complex128, d int)
+
 // slideAVX2 moves the sliding DFT sums of every bin len(leave) samples on,
 // sample t leaving as leave[t] and entering as enter[t] (len(enter) ≥
 // len(leave)); rot and tail are as long as sums (see SlidingDFT).

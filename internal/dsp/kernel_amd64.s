@@ -15,6 +15,13 @@ DATA invQuarterTurn<>+16(SB)/8, $0x8000000000000000
 DATA invQuarterTurn<>+24(SB)/8, $0
 GLOBL invQuarterTurn<>(SB), RODATA|NOPTR, $32
 
+// Two complex zeros: the rows of radix4LoadAVX2 that lie past the source.
+DATA zeroPair<>+0(SB)/8, $0
+DATA zeroPair<>+8(SB)/8, $0
+DATA zeroPair<>+16(SB)/8, $0
+DATA zeroPair<>+24(SB)/8, $0
+GLOBL zeroPair<>(SB), RODATA|NOPTR, $32
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX
@@ -115,6 +122,174 @@ pair:
 	JMP  stage
 
 done:
+	VZEROUPPER
+	RET
+
+// CMULTW sets W = W·t for two complex values per register, with t's real
+// part broadcast in Y12 and its imaginary part in Y13 and X, Y as scratch:
+// CMUL's operation sequence for a twiddle held in registers.
+#define CMULTW(W, X, Y) \
+	VMULPD    Y12, W, X; \
+	VPERMILPD $5, W, W; \
+	VMULPD    Y13, W, Y; \
+	VADDSUBPD Y, X, W
+
+// func radix4LoadAVX2(dst []complex128, perm []int32, src []complex128, q, live int, tw []complex128, inverse bool)
+//
+// Register use: DI = &dst[0], BX = the pair's perm entry, CX = pairs
+// left, R8 = q in bytes, SI, R9, R10, R11 = the pair's inputs in rows 0–3
+// (a row past live points at zeroPair), R12–R14 = how far rows 1–3 move per
+// pair (32 bytes, or 0 for a zero row), DX = the pair's first output.
+TEXT ·radix4LoadAVX2(SB), NOSPLIT, $0-113
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         perm_base+24(FP), BX
+	MOVQ         perm_len+32(FP), CX
+	SHRQ         $1, CX
+	MOVQ         src_base+48(FP), SI
+	MOVQ         q+72(FP), R8
+	SHLQ         $4, R8
+	MOVQ         tw_base+88(FP), AX
+	VBROADCASTSD (AX), Y12
+	VBROADCASTSD 8(AX), Y13
+	LEAQ         fwdQuarterTurn<>(SB), AX
+	LEAQ         invQuarterTurn<>(SB), DX
+	CMPB         inverse+112(FP), $0
+	CMOVQNE      DX, AX
+	VMOVUPD      (AX), Y15
+	LEAQ         (SI)(R8*1), R9
+	LEAQ         (R9)(R8*1), R10
+	LEAQ         (R10)(R8*1), R11
+	MOVQ         $32, R12
+	MOVQ         $32, R13
+	MOVQ         $32, R14
+	LEAQ         zeroPair<>(SB), AX
+	MOVQ         live+80(FP), DX
+	CMPQ         DX, $3
+	JGT          loadpairs
+	MOVQ         AX, R11
+	XORQ         R14, R14
+	CMPQ         DX, $2
+	JGT          loadpairs
+	MOVQ         AX, R10
+	XORQ         R13, R13
+	CMPQ         DX, $1
+	JGT          loadpairs
+	MOVQ         AX, R9
+	XORQ         R12, R12
+
+loadpairs:
+	TESTQ CX, CX
+	JZ    loaddone
+
+loadpair:
+	VMOVUPD    (SI), Y0   // a of r and r+1
+	VMOVUPD    (R9), Y1   // b
+	VMOVUPD    (R10), Y2  // c
+	VMOVUPD    (R11), Y3  // d
+	CMULTW(Y1, Y4, Y5)    // b·tw[0]
+	CMULTW(Y2, Y6, Y7)    // c·tw[0]
+	CMULTW(Y3, Y8, Y9)    // d·tw[0]
+	VADDPD     Y2, Y0, Y4 // t0 = a + c
+	VSUBPD     Y2, Y0, Y5 // t1 = a − c
+	VADDPD     Y3, Y1, Y6 // t2 = b + d
+	VSUBPD     Y3, Y1, Y7 // t3 = b − d
+	VPERMILPD  $5, Y7, Y7
+	VXORPD     Y15, Y7, Y7 // ∓j·t3
+	VADDPD     Y6, Y4, Y0
+	VADDPD     Y7, Y5, Y1
+	VSUBPD     Y6, Y4, Y2
+	VSUBPD     Y7, Y5, Y3
+	VPERM2F128 $0x20, Y1, Y0, Y4 // X0, X1 of r
+	VPERM2F128 $0x20, Y3, Y2, Y5 // X2, X3 of r
+	VPERM2F128 $0x31, Y1, Y0, Y6 // X0, X1 of r+1
+	VPERM2F128 $0x31, Y3, Y2, Y7 // X2, X3 of r+1
+	MOVLQSX    (BX), DX
+	SHLQ       $4, DX
+	ADDQ       DI, DX
+	VMOVUPD    Y4, (DX)
+	VMOVUPD    Y5, 32(DX)
+	VMOVUPD    Y6, (DX)(R8*1) // perm[r+1] = perm[r] + q
+	VMOVUPD    Y7, 32(DX)(R8*1)
+	ADDQ       $8, BX
+	ADDQ       $32, SI
+	ADDQ       R12, R9
+	ADDQ       R13, R10
+	ADDQ       R14, R11
+	DECQ       CX
+	JNZ        loadpair
+
+loaddone:
+	VZEROUPPER
+	RET
+
+// DECSTEP adds one product to the sums of two outputs in ACC: their
+// samples are at SLO and SHI, their template entries at CLO and CHI. The
+// product is CMUL's operation sequence, then ACC = ACC + product.
+#define DECSTEP(SLO, SHI, CLO, CHI, ACC) \
+	VMOVUPD     SLO, X0; \
+	VINSERTF128 $1, SHI, Y0, Y0; \
+	VMOVUPD     CLO, X1; \
+	VINSERTF128 $1, CHI, Y1, Y1; \
+	VMOVDDUP    Y1, Y2; \
+	VPERMILPD   $15, Y1, Y3; \
+	VMULPD      Y2, Y0, Y2; \
+	VPERMILPD   $5, Y0, Y0; \
+	VMULPD      Y3, Y0, Y3; \
+	VADDSUBPD   Y3, Y2, Y0; \
+	VADDPD      Y0, ACC, ACC
+
+// func decimateAVX2(dst, seg, conj []complex128, d int)
+//
+// len(dst) is a multiple of eight. Y12–Y15 hold the sums of outputs
+// (0,1), (2,3), (4,5), (6,7) of the group. Register use: BX = the group's
+// first output, CX = groups left, SI and DI = the group's first sample and
+// template entry, R8 = d samples in bytes (D), R9 = 3D, R10 = 5D,
+// R11 = 7D, DX = d, R12 = products left per output, R13 and R14 = the
+// product's sample and template entry for output 0.
+TEXT ·decimateAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), BX
+	MOVQ dst_len+8(FP), CX
+	SHRQ $3, CX
+	JZ   decdone
+	MOVQ seg_base+24(FP), SI
+	MOVQ conj_base+48(FP), DI
+	MOVQ d+72(FP), DX
+	MOVQ DX, R8
+	SHLQ $4, R8
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R8)(R8*4), R10
+	LEAQ (R9)(R8*4), R11
+
+decgroup:
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	VXORPD Y14, Y14, Y14
+	VXORPD Y15, Y15, Y15
+	MOVQ   SI, R13
+	MOVQ   DI, R14
+	MOVQ   DX, R12
+
+decstep:
+	DECSTEP((R13), (R13)(R8*1), (R14), (R14)(R8*1), Y12)
+	DECSTEP((R13)(R8*2), (R13)(R9*1), (R14)(R8*2), (R14)(R9*1), Y13)
+	DECSTEP((R13)(R8*4), (R13)(R10*1), (R14)(R8*4), (R14)(R10*1), Y14)
+	DECSTEP((R13)(R9*2), (R13)(R11*1), (R14)(R9*2), (R14)(R11*1), Y15)
+	ADDQ $16, R13
+	ADDQ $16, R14
+	DECQ R12
+	JNZ  decstep
+
+	VMOVUPD Y12, (BX)
+	VMOVUPD Y13, 32(BX)
+	VMOVUPD Y14, 64(BX)
+	VMOVUPD Y15, 96(BX)
+	ADDQ    $128, BX
+	LEAQ    (SI)(R8*8), SI
+	LEAQ    (DI)(R8*8), DI
+	DECQ    CX
+	JNZ     decgroup
+
+decdone:
 	VZEROUPPER
 	RET
 

@@ -20,3 +20,11 @@ func goertzelManyAVX2(x []complex128, thetas []float64, out []complex128) {
 func slideAVX2(sums, rot, tail, leave, enter []complex128) {
 	panic("dsp: no AVX2 kernel on this architecture")
 }
+
+func radix4LoadAVX2(dst []complex128, perm []int32, src []complex128, q, live int, tw []complex128, inverse bool) {
+	panic("dsp: no AVX2 kernel on this architecture")
+}
+
+func decimateAVX2(dst, seg, conj []complex128, d int) {
+	panic("dsp: no AVX2 kernel on this architecture")
+}

@@ -28,8 +28,7 @@ func fastTiers(t testing.TB) []Kernel {
 
 // inverse is p.Inverse computed with tier k.
 func inverse(k Kernel, p *Plan, dst, src []complex128) {
-	p.load(dst, src)
-	p.runTier(dst, p.inv, true, k.tier)
+	p.transform(dst, src, true, k.tier)
 	p.normalize(dst)
 }
 
@@ -42,6 +41,84 @@ func sameSpectrum(a, b []complex128) int {
 		}
 	}
 	return -1
+}
+
+// sameOrNaN compares bit for bit, except that NaN components match any
+// NaN: which NaN payload an operation propagates depends on its operand
+// order, which the tiers (and the compiler's register allocation) do not
+// fix.
+func sameOrNaN(a, b complex128) bool {
+	same := func(x, y float64) bool {
+		if math.IsNaN(x) || math.IsNaN(y) {
+			return math.IsNaN(x) && math.IsNaN(y)
+		}
+		return math.Float64bits(x) == math.Float64bits(y)
+	}
+	return same(real(a), real(b)) && same(imag(a), imag(b))
+}
+
+// firstNaNAwareMismatch is sameSpectrum under sameOrNaN.
+func firstNaNAwareMismatch(a, b []complex128) int {
+	for i := range a {
+		if !sameOrNaN(a[i], b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// zeroSignsInput is a trace of ±0 components at random: its spectrum is
+// all zeros, and the sign of each one depends on every operation that led
+// to it, so a kernel that skips or reorders one shows here even where a
+// nonzero input would absorb the difference.
+func zeroSignsInput(rng *rand.Rand, n int) []complex128 {
+	x := make([]complex128, n)
+	zero := [2]float64{0, math.Copysign(0, -1)}
+	for i := range x {
+		x[i] = complex(zero[rng.Intn(2)], zero[rng.Intn(2)])
+	}
+	return x
+}
+
+// nonFiniteInput is a random trace with ±Inf and NaN sprinkled into its
+// components.
+func nonFiniteInput(rng *rand.Rand, n int) []complex128 {
+	x := randComplex(rng, n)
+	special := [3]float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := range x {
+		re, im := real(x[i]), imag(x[i])
+		if rng.Intn(8) == 0 {
+			re = special[rng.Intn(3)]
+		}
+		if rng.Intn(8) == 0 {
+			im = special[rng.Intn(3)]
+		}
+		x[i] = complex(re, im)
+	}
+	return x
+}
+
+// nanFilled returns n NaN samples: a destination that shows every entry a
+// transform fails to write.
+func nanFilled(n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(math.NaN(), math.NaN())
+	}
+	return x
+}
+
+// inPlaceOnTier is copy+TransformInPlace (or InverseInPlace before
+// normalization) of src, zero-padded to the plan size, on tier k.
+func inPlaceOnTier(k Kernel, p *Plan, src []complex128, inverse bool) []complex128 {
+	buf := make([]complex128, p.Size())
+	copy(buf, src)
+	tw := p.fwd
+	if inverse {
+		tw = p.inv
+	}
+	p.runTier(buf, tw, inverse, k.tier)
+	return buf
 }
 
 // signedZeroInput is a random trace whose components are ±0 at random:
@@ -117,6 +194,7 @@ func TestRadix4KernelParity(t *testing.T) {
 				"random":      randComplex(rng, n),
 				"half-padded": randComplex(rng, n/2),
 				"signed-zero": signedZeroInput(rng, n),
+				"zero-signs":  zeroSignsInput(rng, n),
 			}
 			for name, src := range inputs {
 				want := make([]complex128, n)
@@ -136,24 +214,97 @@ func TestRadix4KernelParity(t *testing.T) {
 	}
 }
 
-// TestTransformManyKernelParity checks the dispatching batch entry point
-// against per-block transforms on the reference tier.
-func TestTransformManyKernelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	fastTiers(t)
-	ref := goTier()
-	for _, n := range []int{16, 256, 1024, 4096} {
+// TestOutOfPlaceKernelParity checks the out-of-place entry — on radix-4
+// plans the fused digit-reversed first pass — against copy+in-place on
+// the same tier, forward and inverse, for every radix-4 size from 16 to
+// 16384 and source lengths around each quarter boundary, into a NaN-filled
+// dst. Radix-2 sizes and a src that is dst itself (both the in-place path)
+// ride along.
+func TestOutOfPlaceKernelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	sizes := []int{4, 32, 128, 2048}
+	for n := 16; n <= 16384; n *= 4 {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
 		p := NewPlan(n)
-		const blocks = 3
-		slab := randComplex(rng, blocks*n)
-		want := make([]complex128, len(slab))
-		for b := 0; b < blocks; b++ {
-			ref.Transform(p, want[b*n:(b+1)*n], slab[b*n:(b+1)*n])
+		q := n / 4
+		for _, srcLen := range []int{0, 1, q - 1, q, q + 1, 2 * q, 3*q - 1, 3 * q, n - 1, n} {
+			inputs := map[string][]complex128{
+				"random":      randComplex(rng, srcLen),
+				"signed-zero": signedZeroInput(rng, srcLen),
+				"zero-signs":  zeroSignsInput(rng, srcLen),
+				"non-finite":  nonFiniteInput(rng, srcLen),
+			}
+			for name, src := range inputs {
+				for _, inv := range []bool{false, true} {
+					for _, k := range Kernels() {
+						want := inPlaceOnTier(k, p, src, inv)
+						got := nanFilled(n)
+						p.transform(got, src, inv, k.tier)
+						if i := firstNaNAwareMismatch(got, want); i >= 0 {
+							t.Errorf("%s n=%d len=%d %s inverse=%v: [%d] = %v, in place %v", k.Name(), n, srcLen, name, inv, i, got[i], want[i])
+						}
+						aliased := nanFilled(n)
+						copy(aliased, src)
+						p.transform(aliased, aliased[:srcLen], inv, k.tier)
+						if i := firstNaNAwareMismatch(aliased, want); i >= 0 {
+							t.Errorf("%s n=%d len=%d %s inverse=%v aliased: [%d] = %v, in place %v", k.Name(), n, srcLen, name, inv, i, aliased[i], want[i])
+						}
+					}
+				}
+			}
 		}
-		p.TransformMany(slab)
-		if i := sameSpectrum(slab, want); i >= 0 {
-			t.Errorf("n=%d: slab bin %d = %v, go tier %v", n, i, slab[i], want[i])
+	}
+}
+
+// TestDecimateKernelParity compares the boxcar dechirp-decimate of every
+// tier with the Go kernel for d ∈ {1, 2, 3, 4, 5, 8}, on windows whose
+// length leaves a remainder mod d and output counts on both sides of the
+// AVX2 kernel's eight-output groups, with signed-zero samples and
+// template entries (so signed-zero products).
+func TestDecimateKernelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	ref := goTier()
+	for _, k := range fastTiers(t) {
+		for _, d := range []int{1, 2, 3, 4, 5, 8} {
+			for _, n := range []int{d*7 + d - 1, d*8 + 1, d*64 + d - 1, 2457} {
+				if d > 1 && n%d == 0 {
+					n++
+				}
+				seg := signedZeroInput(rng, n)
+				conj := signedZeroInput(rng, n)
+				m := n / d
+				want := make([]complex128, m)
+				got := nanFilled(m + 1)
+				decimate(want, seg, conj, d, ref.tier)
+				decimate(got[:m], seg, conj, d, k.tier)
+				if i := sameSpectrum(got[:m], want); i >= 0 {
+					t.Errorf("%s d=%d n=%d: output %d = %v, go tier %v", k.Name(), d, n, i, got[i], want[i])
+				}
+				if !math.IsNaN(real(got[m])) {
+					t.Errorf("%s d=%d n=%d: wrote past n/d outputs", k.Name(), d, n)
+				}
+			}
 		}
+	}
+}
+
+// BenchmarkDechirpDecimate measures the onset coarse scan's dechirp-and-
+// boxcar step — a chirp-long window of 2457 samples decimated by 4 — on
+// each tier.
+func BenchmarkDechirpDecimate(b *testing.B) {
+	rng := rand.New(rand.NewSource(50))
+	const n, d = 2457, 4
+	seg := randComplex(rng, n)
+	conj := randComplex(rng, n)
+	dst := make([]complex128, n/d)
+	for _, k := range Kernels() {
+		b.Run(k.Name(), func(b *testing.B) {
+			for b.Loop() {
+				decimate(dst, seg, conj, d, k.tier)
+			}
+		})
 	}
 }
 
@@ -251,6 +402,8 @@ func TestKernelEntryPointsZeroAllocStackBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	x := randComplex(rng, 2457)
 	p := PlanFor(64)
+	var s DechirpScratch[int]
+	s.Init(0, 64, 1, 1, make([]float64, 64))
 	if allocs := testing.AllocsPerRun(20, func() {
 		thetas := [9]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 		var out [9]complex128
@@ -259,14 +412,21 @@ func TestKernelEntryPointsZeroAllocStackBuffers(t *testing.T) {
 		copy(buf[:], x)
 		p.TransformInPlace(buf[:])
 		p.InverseInPlace(buf[:])
+		var src [41]complex128
+		copy(src[:], x)
+		p.Transform(buf[:], src[:])
+		p.Inverse(buf[:], src[:])
+		var dec [16]complex128
+		s.DechirpDecimateInto(dec[:], x, 4)
 	}); allocs != 0 {
 		t.Errorf("entry points allocated %v times per run with stack buffers", allocs)
 	}
 }
 
 // FuzzKernelParity decodes the fuzz input as complex samples and compares
-// a 64-point transform (forward and inverse), a Goertzel evaluation and a
-// sliding-DFT slide across tiers. Every output component that is not NaN
+// a 64-point transform (forward and inverse, also against copy+in-place),
+// a Goertzel evaluation, a dechirp-decimate and a sliding-DFT slide across
+// tiers. Every output component that is not NaN
 // must match bit for bit; NaN components — from NaN or ±Inf inputs, or
 // from finite ones that overflow — are compared by NaN-ness only, because
 // which NaN payload an operation propagates depends on its operand order,
@@ -309,17 +469,9 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		thetas := []float64{theta, theta / 2, -theta, 1, 2, 3, 0.5, -0.5, 0.25, -0.25, 3.1}
 		seg := x[:min(len(x), p.Size())]
-		same := func(a, b float64) bool {
-			if math.IsNaN(a) || math.IsNaN(b) {
-				return math.IsNaN(a) && math.IsNaN(b)
-			}
-			return math.Float64bits(a) == math.Float64bits(b)
-		}
 		check := func(what string, got, want []complex128) {
-			for i := range want {
-				if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
-					t.Fatalf("%s [%d]: %v, go tier %v", what, i, got[i], want[i])
-				}
+			if i := firstNaNAwareMismatch(got[:len(want)], want); i >= 0 {
+				t.Fatalf("%s [%d]: %v, go tier %v", what, i, got[i], want[i])
 			}
 		}
 		want := make([]complex128, p.Size())
@@ -338,6 +490,31 @@ func FuzzKernelParity(f *testing.F) {
 		for _, k := range ks[1:] {
 			inverse(k, p, got, seg)
 			check(fmt.Sprintf("%s inverse", k.Name()), got, want)
+		}
+		// The out-of-place entry on every tier, from a source of any
+		// length up to the plan size, against copy+in-place on the Go tier.
+		for _, inv := range []bool{false, true} {
+			want := inPlaceOnTier(ref, p, seg, inv)
+			for _, k := range ks {
+				got := nanFilled(p.Size())
+				p.transform(got, seg, inv, k.tier)
+				check(fmt.Sprintf("%s out-of-place inverse=%v", k.Name(), inv), got, want)
+			}
+		}
+		// The dechirp-decimate kernel, against the trace reversed as its
+		// template, with a factor taken from the input length.
+		if d := 1 + len(raw)%8; len(x) >= d {
+			conj := make([]complex128, len(x))
+			for i, v := range x {
+				conj[len(x)-1-i] = v
+			}
+			wantD := make([]complex128, len(x)/d)
+			gotD := make([]complex128, len(x)/d)
+			decimate(wantD, x, conj, d, ref.tier)
+			for _, k := range ks[1:] {
+				decimate(gotD, x, conj, d, k.tier)
+				check(fmt.Sprintf("%s decimate d=%d", k.Name(), d), gotD, wantD)
+			}
 		}
 		if n := len(x) / 2; n > 0 {
 			var wantS SlidingDFT

@@ -17,10 +17,18 @@ import (
 // kernel — one complex multiply per four outputs fewer than radix-2, ~25 %
 // fewer multiplies overall — which covers every hot gateway size (the
 // chirp-window 4096, the 4×-padded 16384, the decimated-scan 1024 and the
-// spectrogram 256). Odd-log2 sizes fall back to the radix-2 kernel. On
-// hosts with the AVX2 kernel tier (see Kernel) the radix-4 stages after the
-// first run two butterflies per instruction, bit-identical to the Go
-// kernel; the permutation and the size-4 stage always run in Go.
+// spectrogram 256). Odd-log2 sizes fall back to the radix-2 kernel.
+//
+// A radix-4 Transform or Inverse into a separate dst makes its first pass
+// while loading src: it reads the strided quadruples src[r], src[r+n/4],
+// src[r+n/2], src[r+3n/4], runs the size-4 butterfly on each and stores
+// the four outputs where the digit-reversal permutation followed by the
+// size-4 stage would have put them, so neither the permutation nor a
+// zero-filled tail is ever written. The in-place entries (and a dst that
+// is src) permute with swaps first. On hosts with the AVX2 kernel tier
+// (see Kernel) the fused first pass and every later radix-4 stage run two
+// butterflies per instruction; every path is bit-identical to the Go
+// kernel's in-place transform.
 //
 // A Plan is immutable after construction and safe for concurrent use by
 // multiple goroutines — only the caller-supplied buffers are mutated. The
@@ -118,9 +126,11 @@ func (p *Plan) Radix() int {
 // Transform computes the forward DFT of src into dst without allocating.
 // len(dst) must equal the plan size; src may be shorter (it is zero-padded)
 // but not longer. dst and src may alias only if they are the same slice.
+//
+//softlora:hotpath
+//softlora:allocfree
 func (p *Plan) Transform(dst, src []complex128) {
-	p.load(dst, src)
-	p.run(dst, p.fwd, false)
+	p.transform(dst, src, false, activeTier)
 }
 
 // TransformInPlace computes the forward DFT of buf in place. len(buf) must
@@ -133,33 +143,10 @@ func (p *Plan) TransformInPlace(buf []complex128) {
 	p.run(buf, p.fwd, false)
 }
 
-// TransformMany computes the forward DFT of each of the len(slab)/n
-// consecutive n-point blocks of slab in place, where n is the plan size.
-// len(slab) must be a multiple of the plan size (zero blocks is allowed).
-// One call walks K packed transforms back to back through the same
-// permutation and twiddle tables, so batch callers — the coarse-scan
-// windows of a capture, a spectrogram's frames — keep those tables hot in
-// cache across blocks instead of re-touching them from cold between
-// separate calls. Each block's result is bit-identical to TransformInPlace
-// on that block.
-//
-//softlora:hotpath
-//softlora:allocfree
-func (p *Plan) TransformMany(slab []complex128) {
-	if len(slab)%p.n != 0 {
-		//softlora:hotpath-ok panic path, cold by definition
-		panic(fmt.Sprintf("dsp: TransformMany slab length %d is not a multiple of plan size %d", len(slab), p.n))
-	}
-	for off := 0; off < len(slab); off += p.n {
-		p.run(slab[off:off+p.n], p.fwd, false)
-	}
-}
-
 // Inverse computes the normalized inverse DFT of src into dst without
 // allocating, under the same length rules as Transform.
 func (p *Plan) Inverse(dst, src []complex128) {
-	p.load(dst, src)
-	p.run(dst, p.inv, true)
+	p.transform(dst, src, true, activeTier)
 	p.normalize(dst)
 }
 
@@ -177,11 +164,23 @@ func (p *Plan) checkLen(buf []complex128) {
 	}
 }
 
-// load copies src into dst, zero-padding the tail.
-func (p *Plan) load(dst, src []complex128) {
+// transform is Transform (inverse false) or Inverse before normalization
+// on the given kernel tier. A radix-4 plan with a dst separate from src
+// runs the fused first pass (loadRadix4); everything else copies src into
+// dst, zero-pads the tail and transforms in place.
+func (p *Plan) transform(dst, src []complex128, inverse bool, tier kernelTier) {
 	p.checkLen(dst)
 	if len(src) > p.n {
 		panic(fmt.Sprintf("dsp: plan size %d, source length %d", p.n, len(src)))
+	}
+	tw := p.fwd
+	if inverse {
+		tw = p.inv
+	}
+	if p.radix4 && (len(src) == 0 || &dst[0] != &src[0]) {
+		p.loadRadix4(dst, src, tw, inverse, tier)
+		p.radix4Stages(dst, tw, inverse, tier)
+		return
 	}
 	if len(src) > 0 && &dst[0] != &src[0] {
 		copy(dst, src)
@@ -189,6 +188,7 @@ func (p *Plan) load(dst, src []complex128) {
 	for i := len(src); i < p.n; i++ {
 		dst[i] = 0
 	}
+	p.runTier(dst, tw, inverse, tier)
 }
 
 func (p *Plan) normalize(buf []complex128) {
@@ -225,16 +225,8 @@ func (p *Plan) runTier(x []complex128, tw []complex128, inverse bool, tier kerne
 		}
 	}
 	if p.radix4 {
-		if tier == tierAVX2 && n >= 16 {
-			p.runRadix4(x, tw, inverse, 4) // the size-4 stage
-			stages := p.stageFwd
-			if inverse {
-				stages = p.stageInv
-			}
-			radix4AVX2(x, stages, inverse)
-			return
-		}
-		p.runRadix4(x, tw, inverse, n)
+		p.runRadix4(x, tw, inverse, 4, 4) // the size-4 stage
+		p.radix4Stages(x, tw, inverse, tier)
 		return
 	}
 	for size := 2; size <= n; size <<= 1 {
@@ -253,9 +245,85 @@ func (p *Plan) runTier(x []complex128, tw []complex128, inverse bool, tier kerne
 	}
 }
 
-// runRadix4 executes the radix-4 decimation-in-time stages on digit-reversed
-// input. Each butterfly combines four quarter-size DFT outputs
-// a, b·W^k, c·W^2k, d·W^3k into
+// radix4Stages runs the radix-4 stages of size 16 through n over x, whose
+// size-4 stage is done, on the given tier.
+func (p *Plan) radix4Stages(x []complex128, tw []complex128, inverse bool, tier kernelTier) {
+	if p.n < 16 {
+		return
+	}
+	if tier == tierAVX2 {
+		stages := p.stageFwd
+		if inverse {
+			stages = p.stageInv
+		}
+		radix4AVX2(x, stages, inverse)
+		return
+	}
+	p.runRadix4(x, tw, inverse, 16, p.n)
+}
+
+// loadRadix4 is the out-of-place first pass of a radix-4 transform: for
+// each r < q = n/4 it reads the quadruple src[r], src[r+q], src[r+2q],
+// src[r+3q] (zero past len(src)), runs the size-4 butterfly on it with the
+// operands of runRadix4's size-4 stage and stores the four outputs at
+// dst[perm[r]+k], k = 0…3 — exactly where the digit-reversal permutation
+// followed by that stage puts them, since perm[r+k·q] = perm[r]+k.
+//
+// The r range splits into runs with a fixed number of rows inside src
+// (rows r+k·q < len(src) for k < live), which is what the AVX2 kernel
+// consumes; past the last run every row is zero padding.
+func (p *Plan) loadRadix4(dst, src []complex128, tw []complex128, inverse bool, tier kernelTier) {
+	q := p.n / 4
+	lo := 0
+	for live := 4; live > 0; live-- {
+		hi := min(max(len(src)-(live-1)*q, 0), q)
+		if hi <= lo {
+			continue
+		}
+		if tier == tierAVX2 {
+			if lo&1 == 1 { // the kernel takes pairs r, r+1 with r even
+				p.loadRadix4Go(dst, src, tw[0], inverse, lo, lo+1, live)
+				lo++
+			}
+			if pairs := (hi - lo) &^ 1; pairs > 0 {
+				radix4LoadAVX2(dst, p.perm[lo:lo+pairs], src[lo:], q, live, tw, inverse)
+				lo += pairs
+			}
+		}
+		p.loadRadix4Go(dst, src, tw[0], inverse, lo, hi, live)
+		lo = hi
+	}
+	// Four zero inputs: the butterfly's outputs are all +0, whatever the
+	// direction and the sign of tw[0]'s zero.
+	for _, o := range p.perm[lo:q] {
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = 0, 0, 0, 0
+	}
+}
+
+// loadRadix4Go is loadRadix4's Go kernel for r in [lo, hi), where the
+// rows k < live lie inside src and the rest are zero; w is the size-4
+// stage's twiddle tw[0].
+func (p *Plan) loadRadix4Go(dst, src []complex128, w complex128, inverse bool, lo, hi, live int) {
+	q := p.n / 4
+	for r := lo; r < hi; r++ {
+		var b, c, d complex128
+		a := src[r]
+		if live > 1 {
+			b = src[r+q]
+		}
+		if live > 2 {
+			c = src[r+2*q]
+		}
+		if live > 3 {
+			d = src[r+3*q]
+		}
+		o := int(p.perm[r])
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = butterfly4(a, b*w, c*w, d*w, inverse)
+	}
+}
+
+// butterfly4 is the radix-4 decimation-in-time butterfly on the
+// twiddled quarter outputs a, b·W^k, c·W^2k, d·W^3k:
 //
 //	X[k]      = t0 + t2        t0 = a + c    t2 = b + d
 //	X[k+q]    = t1 ∓ j·t3      t1 = a − c    t3 = b − d
@@ -264,10 +332,27 @@ func (p *Plan) runTier(x []complex128, tw []complex128, inverse bool, tier kerne
 //
 // where the ∓j factor flips sign between the forward and inverse transforms
 // (it is the quarter-turn twiddle W^{n/4} = −j, conjugated for the inverse).
-// It runs the stages of size 4 through maxSize.
-func (p *Plan) runRadix4(x []complex128, tw []complex128, inverse bool, maxSize int) {
+func butterfly4(a, b, c, d complex128, inverse bool) (x0, x1, x2, x3 complex128) {
+	t0 := a + c
+	t1 := a - c
+	t2 := b + d
+	t3 := b - d
+	// jt3 = −j·t3 for the forward transform, +j·t3 inverse.
+	var jt3 complex128
+	if inverse {
+		jt3 = complex(-imag(t3), real(t3))
+	} else {
+		jt3 = complex(imag(t3), -real(t3))
+	}
+	return t0 + t2, t1 + jt3, t0 - t2, t1 - jt3
+}
+
+// runRadix4 executes the radix-4 decimation-in-time stages of size from
+// through to (powers of four) on digit-reversed input, one butterfly4 per
+// quadruple x[i], x[i+q], x[i+2q], x[i+3q] of each stage's blocks.
+func (p *Plan) runRadix4(x []complex128, tw []complex128, inverse bool, from, to int) {
 	n := p.n
-	for size := 4; size <= maxSize; size <<= 2 {
+	for size := from; size <= to; size <<= 2 {
 		quarter := size >> 2
 		stride := n / size
 		for start := 0; start < n; start += size {
@@ -277,25 +362,7 @@ func (p *Plan) runRadix4(x []complex128, tw []complex128, inverse bool, maxSize 
 				i2 := i1 + quarter
 				i3 := i2 + quarter
 				ti := k * stride
-				a := x[i0]
-				b := x[i1] * tw[ti]
-				c := x[i2] * tw[2*ti]
-				d := x[i3] * tw[3*ti]
-				t0 := a + c
-				t1 := a - c
-				t2 := b + d
-				t3 := b - d
-				// jt3 = −j·t3 for the forward transform, +j·t3 inverse.
-				var jt3 complex128
-				if inverse {
-					jt3 = complex(-imag(t3), real(t3))
-				} else {
-					jt3 = complex(imag(t3), -real(t3))
-				}
-				x[i0] = t0 + t2
-				x[i1] = t1 + jt3
-				x[i2] = t0 - t2
-				x[i3] = t1 - jt3
+				x[i0], x[i1], x[i2], x[i3] = butterfly4(x[i0], x[i1]*tw[ti], x[i2]*tw[2*ti], x[i3]*tw[3*ti], inverse)
 			}
 		}
 	}
@@ -327,6 +394,7 @@ type DechirpScratch[K comparable] struct {
 	rate float64
 	key  K
 	conj []complex128 // exp(-j·templatePhase[i])
+	prod []complex128 // dechirped segment, template length
 	plan *Plan
 	buf  []complex128 // plan-sized FFT buffer
 
@@ -334,7 +402,8 @@ type DechirpScratch[K comparable] struct {
 	// and invalidated with the rest of the scratch on Init.
 	decFactor int
 	decPlan   *Plan
-	decBuf    []complex128
+	decTime   []complex128 // decimated dechirp, n/decFactor samples
+	decBuf    []complex128 // decPlan-sized FFT buffer
 }
 
 // Stale reports whether the scratch must be rebuilt for this geometry.
@@ -351,6 +420,10 @@ func (s *DechirpScratch[K]) Init(key K, n int, rate float64, pad int, phase []fl
 		s.conj = make([]complex128, n)
 	}
 	s.conj = s.conj[:n]
+	if cap(s.prod) < n {
+		s.prod = make([]complex128, n)
+	}
+	s.prod = s.prod[:n]
 	for i, p := range phase[:n] {
 		sn, c := math.Sincos(-p)
 		s.conj[i] = complex(c, sn)
@@ -372,19 +445,17 @@ func (s *DechirpScratch[K]) Size() int {
 	return s.plan.Size()
 }
 
-// Dechirp multiplies seg (length <= template) by the template into the FFT
-// buffer, zero-pads, transforms in place and returns the spectrum. The
-// returned slice is the scratch buffer: it is overwritten by the next call.
+// Dechirp multiplies seg (length <= template) by the template into a
+// template-length scratch and transforms that, zero-padded, into the FFT
+// buffer, returning the spectrum. The returned slice is the scratch
+// buffer: it is overwritten by the next call.
 func (s *DechirpScratch[K]) Dechirp(seg []complex128) []complex128 {
-	buf := s.buf
+	prod := s.prod[:len(seg)]
 	for i, v := range seg {
-		buf[i] = v * s.conj[i]
+		prod[i] = v * s.conj[i]
 	}
-	for i := len(seg); i < len(buf); i++ {
-		buf[i] = 0
-	}
-	s.plan.TransformInPlace(buf)
-	return buf
+	s.plan.Transform(s.buf, prod)
+	return s.buf
 }
 
 // DechirpDecimated dechirps seg at full rate, sums adjacent groups of d
@@ -408,33 +479,46 @@ func (s *DechirpScratch[K]) DechirpDecimated(seg []complex128, d int) []complex1
 		//softlora:allocfree-ok geometry rebuild on a decimation-factor change; steady state reuses the cached plan
 		s.decPlan = PlanFor(m)
 		if cap(s.decBuf) < s.decPlan.Size() {
-			//softlora:allocfree-ok same geometry rebuild; the buffer is reused until the factor changes again
+			//softlora:allocfree-ok same geometry rebuild; the buffers are reused until the factor changes again
 			s.decBuf = make([]complex128, s.decPlan.Size())
+		}
+		if cap(s.decTime) < m {
+			//softlora:allocfree-ok same geometry rebuild
+			s.decTime = make([]complex128, m)
 		}
 		s.decBuf = s.decBuf[:s.decPlan.Size()]
 		s.decFactor = d
 	}
-	buf := s.decBuf
-	s.DechirpDecimateInto(buf[:m], seg, d)
-	for i := m; i < len(buf); i++ {
-		buf[i] = 0
-	}
-	s.decPlan.TransformInPlace(buf)
-	return buf
+	s.decPlan.Transform(s.decBuf, s.DechirpDecimateInto(s.decTime, seg, d))
+	return s.decBuf
 }
 
 // DechirpDecimateInto is the time-domain half of DechirpDecimated: it
 // dechirps seg against the template and boxcar-sums adjacent groups of d
 // samples into dst, returning dst[:n/d] without transforming. Callers that
 // need both the decimated spectrum and the decimated time series (the FB
-// estimator's coarse FFT + zoom refinement) use this once and transform a
-// copy, keeping the time series intact. dst must have capacity ≥ n/d; the
-// last n mod d samples of the template window are dropped.
+// estimator's coarse FFT + zoom refinement) use this once and transform it
+// out of place, keeping the time series intact. dst must have capacity
+// ≥ n/d; the last n mod d samples of the template window are dropped.
 func (s *DechirpScratch[K]) DechirpDecimateInto(dst []complex128, seg []complex128, d int) []complex128 {
-	m := s.n / d
-	dst = dst[:m]
-	conj := s.conj
-	for i := 0; i < m; i++ {
+	dst = dst[:s.n/d]
+	decimate(dst, seg, s.conj, d, activeTier)
+	return dst
+}
+
+// decimate sets dst[i] to the sum of seg[i·d+r]·conj[i·d+r] over r < d,
+// accumulated as ((0 + p0) + p1) + … in that order, on the given kernel
+// tier. The AVX2 kernel runs eight outputs' sums side by side, so its
+// accumulation chains overlap instead of waiting on one another; the last
+// len(dst) mod 8 outputs run in Go.
+func decimate(dst, seg, conj []complex128, d int, tier kernelTier) {
+	i := 0
+	if tier == tierAVX2 {
+		if i = len(dst) &^ 7; i > 0 {
+			decimateAVX2(dst[:i], seg[:i*d], conj[:i*d], d)
+		}
+	}
+	for ; i < len(dst); i++ {
 		var acc complex128
 		base := i * d
 		for r := 0; r < d; r++ {
@@ -442,24 +526,19 @@ func (s *DechirpScratch[K]) DechirpDecimateInto(dst []complex128, seg []complex1
 		}
 		dst[i] = acc
 	}
-	return dst
 }
 
 // SpectrogramPlan computes short-time Fourier transform power spectrograms
 // repeatedly with one window function and one cached FFT plan, reusing its
-// internal frame buffer across calls. Not safe for concurrent use — build
+// internal frame buffers across calls. Not safe for concurrent use — build
 // one per goroutine (the shared FFT plan underneath is safe to share).
 type SpectrogramPlan struct {
 	window  []float64
 	overlap int
 	plan    *Plan
-	buf     []complex128 // spectrogramBatch packed frames for TransformMany
+	frame   []complex128 // one windowed frame, window length
+	buf     []complex128 // its plan-sized spectrum
 }
-
-// spectrogramBatch is how many windowed frames Compute packs into one
-// TransformMany slab: enough to amortize the plan tables' cache refill
-// across frames without the slab outgrowing L2 at the hot sizes.
-const spectrogramBatch = 8
 
 // NewSpectrogramPlan builds a spectrogram plan for the given window function
 // and inter-frame overlap (in samples).
@@ -469,7 +548,8 @@ func NewSpectrogramPlan(window []float64, overlap int) *SpectrogramPlan {
 		window:  append([]float64(nil), window...),
 		overlap: overlap,
 		plan:    plan,
-		buf:     make([]complex128, spectrogramBatch*plan.Size()),
+		frame:   make([]complex128, len(window)),
+		buf:     make([]complex128, plan.Size()),
 	}
 }
 
@@ -495,7 +575,6 @@ func (s *SpectrogramPlan) Frames(n int) int {
 // and returns it, reusing dst's rows when their capacity allows. Rows are
 // indexed as psd[frame][bin] with bins in FFT order, matching Spectrogram.
 func (s *SpectrogramPlan) Compute(x []complex128, dst [][]float64) [][]float64 {
-	windowLen := len(s.window)
 	nFrames := s.Frames(len(x))
 	if nFrames == 0 {
 		return dst[:0]
@@ -508,32 +587,19 @@ func (s *SpectrogramPlan) Compute(x []complex128, dst [][]float64) [][]float64 {
 		dst = grown
 	}
 	dst = dst[:nFrames]
-	for f0 := 0; f0 < nFrames; f0 += spectrogramBatch {
-		batch := nFrames - f0
-		if batch > spectrogramBatch {
-			batch = spectrogramBatch
+	for f := range dst {
+		start := f * hop
+		for i, w := range s.window {
+			s.frame[i] = x[start+i] * complex(w, 0)
 		}
-		for b := 0; b < batch; b++ {
-			frame := s.buf[b*nfft : (b+1)*nfft]
-			start := (f0 + b) * hop
-			for i := 0; i < windowLen; i++ {
-				frame[i] = x[start+i] * complex(s.window[i], 0)
-			}
-			for i := windowLen; i < nfft; i++ {
-				frame[i] = 0
-			}
+		s.plan.Transform(s.buf, s.frame)
+		if cap(dst[f]) < nfft {
+			dst[f] = make([]float64, nfft)
 		}
-		s.plan.TransformMany(s.buf[:batch*nfft])
-		for b := 0; b < batch; b++ {
-			f := f0 + b
-			if cap(dst[f]) < nfft {
-				dst[f] = make([]float64, nfft)
-			}
-			dst[f] = dst[f][:nfft]
-			for i, v := range s.buf[b*nfft : (b+1)*nfft] {
-				re, im := real(v), imag(v)
-				dst[f][i] = re*re + im*im
-			}
+		dst[f] = dst[f][:nfft]
+		for i, v := range s.buf {
+			re, im := real(v), imag(v)
+			dst[f][i] = re*re + im*im
 		}
 	}
 	return dst

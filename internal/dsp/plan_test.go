@@ -291,46 +291,3 @@ func TestOverlapSaveMatchesDirectFIR(t *testing.T) {
 		}
 	}
 }
-
-// TestTransformManyBitIdentical pins the batched entry point against
-// per-block TransformInPlace: same plan, same input, bit-for-bit equal
-// output for both kernel radices, plus the length-contract panic and the
-// empty-slab no-op.
-func TestTransformManyBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{64, 128, 1024} { // radix-4, radix-2, radix-4
-		plan := NewPlan(n)
-		const k = 5
-		slab := randComplex(rng, k*n)
-		want := make([]complex128, k*n)
-		copy(want, slab)
-		for b := 0; b < k; b++ {
-			plan.TransformInPlace(want[b*n : (b+1)*n])
-		}
-		plan.TransformMany(slab)
-		for i := range slab {
-			if slab[i] != want[i] {
-				t.Fatalf("n=%d: block output differs at %d: %v != %v", n, i, slab[i], want[i])
-			}
-		}
-		plan.TransformMany(slab[:0]) // empty slab is a no-op
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TransformMany with a ragged slab did not panic")
-		}
-	}()
-	NewPlan(64).TransformMany(make([]complex128, 96))
-}
-
-func TestTransformManyZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	plan := PlanFor(256)
-	slab := randComplex(rng, 8*plan.Size())
-	if allocs := testing.AllocsPerRun(50, func() {
-		plan.TransformMany(slab)
-	}); allocs != 0 {
-		t.Errorf("Plan.TransformMany allocated %v times per run", allocs)
-	}
-}

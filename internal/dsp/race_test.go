@@ -55,28 +55,32 @@ func TestConcurrentPlanForSharedCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentTransformManyDistinctSlabs shares one plan across
-// goroutines that each batch-transform a private slab. Plans are
-// read-only after construction; this is the worker-pool idiom the batch
-// pipeline uses.
-func TestConcurrentTransformManyDistinctSlabs(t *testing.T) {
+// TestConcurrentTransformDistinctBuffers shares one plan across
+// goroutines that each transform out of place from and into private
+// buffers. Plans are read-only after construction; this is the
+// worker-pool idiom the batch pipeline uses.
+func TestConcurrentTransformDistinctBuffers(t *testing.T) {
 	t.Parallel()
-	const n, blocks = 256, 4
+	const n, srcLen = 256, 150
 	p := dsp.PlanFor(n)
-	ref := rampTrace(n * blocks)
-	p.TransformMany(ref)
+	src := rampTrace(srcLen)
+	ref := make([]complex128, n)
+	p.Transform(ref, src)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			slab := rampTrace(n * blocks)
-			p.TransformMany(slab)
-			for i := range slab {
-				if slab[i] != ref[i] {
-					t.Error("shared-plan batch transform diverged")
-					return
+			own := rampTrace(srcLen)
+			dst := make([]complex128, n)
+			for r := 0; r < 4; r++ {
+				p.Transform(dst, own)
+				for i := range dst {
+					if dst[i] != ref[i] {
+						t.Error("shared-plan transform diverged")
+						return
+					}
 				}
 			}
 		}()
